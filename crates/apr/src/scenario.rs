@@ -33,7 +33,7 @@ pub enum ScenarioKind {
 
 /// One bug-repair scenario: a defective program, its suite, and the world
 /// parameters that fix the mutation space's statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BugScenario {
     /// Scenario name as the paper's tables print it.
     pub name: String,
@@ -55,6 +55,44 @@ pub struct BugScenario {
     pub suite: TestSuite,
     /// World parameters (safe rate, interaction model, repair rate).
     pub world: WorldParams,
+}
+
+/// One catalog scenario's constructor arguments: name, family, option
+/// count `k`, density optimum `x*`, statements, tests, repair rate, world
+/// seed, precompute-pool size (see [`BugScenario::custom`]).
+#[rustfmt::skip]
+type CatalogEntry = (&'static str, ScenarioKind, usize, usize, usize, usize, f64, u64, usize);
+
+/// The ten §IV-A scenarios, C first (the paper's table order). The hard
+/// ones — gzip-2009-08-16, gzip-2009-09-26, Chart26 and the borderline
+/// Closure22 — need ≈33k, ≈22k, ≈28k and ≈13k expected single-edit evals.
+#[rustfmt::skip]
+const CATALOG: [CatalogEntry; 10] = [
+    ("units", ScenarioKind::C, 1000, 96, 600, 30, 0.003, 0xC_0001, 2000),
+    ("gzip-2009-08-16", ScenarioKind::C, 5000, 48, 2500, 60, 0.0001, 0xC_0002, 30_000),
+    ("gzip-2009-09-26", ScenarioKind::C, 2000, 64, 2500, 60, 0.00015, 0xC_0003, 20_000),
+    ("libtiff-2005-12-14", ScenarioKind::C, 100, 27, 1200, 45, 0.002, 0xC_0004, 3_000),
+    ("lighttpd-1806-1807", ScenarioKind::C, 50, 11, 900, 35, 0.0008, 0xC_0005, 12_000),
+    ("Chart26", ScenarioKind::Java, 100, 35, 800, 50, 0.00012, 0x7A_0001, 25_000),
+    ("Closure13", ScenarioKind::Java, 100, 20, 1500, 70, 0.0015, 0x7A_0002, 3_000),
+    ("Closure22", ScenarioKind::Java, 100, 48, 1500, 70, 0.00025, 0x7A_0003, 15_000),
+    ("Math8", ScenarioKind::Java, 100, 60, 700, 40, 0.002, 0x7A_0004, 2_500),
+    ("Math80", ScenarioKind::Java, 100, 14, 700, 40, 0.001, 0x7A_0005, 4_000),
+];
+
+fn build_entry(entry: &CatalogEntry) -> BugScenario {
+    let &(name, kind, options, x_star, statements, tests, repair_rate, world_seed, pool) = entry;
+    BugScenario::custom(
+        name,
+        kind,
+        options,
+        x_star,
+        statements,
+        tests,
+        repair_rate,
+        world_seed,
+    )
+    .with_pool_size(pool)
 }
 
 impl BugScenario {
@@ -111,130 +149,29 @@ impl BugScenario {
     /// bugs are easier to repair than others" and that "for harder
     /// scenarios ... the choice of algorithm matters a great deal."
     pub fn catalog_c() -> Vec<BugScenario> {
-        vec![
-            // (name, options k, density optimum x*, statements, tests, repair rate, seed)
-            Self::custom("units", ScenarioKind::C, 1000, 96, 600, 30, 0.003, 0xC_0001)
-                .with_pool_size(2000),
-            Self::custom(
-                "gzip-2009-08-16",
-                ScenarioKind::C,
-                5000,
-                48,
-                2500,
-                60,
-                0.0001, // hard: ≈33k expected single-edit evals
-                0xC_0002,
-            )
-            .with_pool_size(30_000),
-            Self::custom(
-                "gzip-2009-09-26",
-                ScenarioKind::C,
-                2000,
-                64,
-                2500,
-                60,
-                0.00015, // hard-ish: ≈22k expected single-edit evals
-                0xC_0003,
-            )
-            .with_pool_size(20_000),
-            Self::custom(
-                "libtiff-2005-12-14",
-                ScenarioKind::C,
-                100,
-                27,
-                1200,
-                45,
-                0.002,
-                0xC_0004,
-            )
-            .with_pool_size(3_000),
-            Self::custom(
-                "lighttpd-1806-1807",
-                ScenarioKind::C,
-                50,
-                11,
-                900,
-                35,
-                0.0008,
-                0xC_0005,
-            )
-            .with_pool_size(12_000),
-        ]
+        CATALOG[..5].iter().map(build_entry).collect()
     }
 
     /// The five Defects4J scenarios of §IV-A: same option count (100),
     /// differing value distributions ("vary in the distribution of values
     /// over them") and difficulties.
     pub fn catalog_java() -> Vec<BugScenario> {
-        vec![
-            Self::custom(
-                "Chart26",
-                ScenarioKind::Java,
-                100,
-                35,
-                800,
-                50,
-                0.00012, // hard: ≈28k expected single-edit evals
-                0x7A_0001,
-            )
-            .with_pool_size(25_000),
-            Self::custom(
-                "Closure13",
-                ScenarioKind::Java,
-                100,
-                20,
-                1500,
-                70,
-                0.0015,
-                0x7A_0002,
-            )
-            .with_pool_size(3_000),
-            Self::custom(
-                "Closure22",
-                ScenarioKind::Java,
-                100,
-                48,
-                1500,
-                70,
-                0.00025, // borderline: ≈13k expected single-edit evals
-                0x7A_0003,
-            )
-            .with_pool_size(15_000),
-            Self::custom(
-                "Math8",
-                ScenarioKind::Java,
-                100,
-                60,
-                700,
-                40,
-                0.002,
-                0x7A_0004,
-            )
-            .with_pool_size(2_500),
-            Self::custom(
-                "Math80",
-                ScenarioKind::Java,
-                100,
-                14,
-                700,
-                40,
-                0.001,
-                0x7A_0005,
-            )
-            .with_pool_size(4_000),
-        ]
+        CATALOG[5..].iter().map(build_entry).collect()
     }
 
     /// All ten APR scenarios, C first (the paper's table order).
     pub fn catalog_all() -> Vec<BugScenario> {
-        let mut v = Self::catalog_c();
-        v.extend(Self::catalog_java());
-        v
+        CATALOG.iter().map(build_entry).collect()
     }
 
-    /// Look up a catalog scenario by name.
+    /// Is `name` a catalog scenario? Builds nothing.
+    pub fn in_catalog(name: &str) -> bool {
+        CATALOG.iter().any(|e| e.0 == name)
+    }
+
+    /// Look up a catalog scenario by name, building only that one.
     pub fn by_name(name: &str) -> Option<BugScenario> {
-        Self::catalog_all().into_iter().find(|s| s.name == name)
+        CATALOG.iter().find(|e| e.0 == name).map(build_entry)
     }
 
     /// Number of arms (alias for `options`).
@@ -381,6 +318,23 @@ mod tests {
     fn by_name_roundtrip() {
         assert!(BugScenario::by_name("Math80").is_some());
         assert!(BugScenario::by_name("nonexistent").is_none());
+    }
+
+    /// Looking one scenario up builds exactly the catalog's entry, and
+    /// the name check agrees with the lookup.
+    #[test]
+    fn by_name_equals_the_catalog_entry() {
+        let all = BugScenario::catalog_all();
+        assert_eq!(all.len(), 10);
+        for s in &all {
+            let one = BugScenario::by_name(&s.name).expect("catalog name resolves");
+            assert_eq!(&one, s, "{}", s.name);
+            assert!(BugScenario::in_catalog(&s.name));
+        }
+        for unknown in ["nonexistent", "", "math80", "gzip"] {
+            assert!(BugScenario::by_name(unknown).is_none(), "{unknown:?}");
+            assert!(!BugScenario::in_catalog(unknown), "{unknown:?}");
+        }
     }
 
     #[test]

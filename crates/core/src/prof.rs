@@ -38,13 +38,14 @@
 //!
 //! Production uses the monotonic [`std::time::Instant`] clock. Tests install
 //! a deterministic counting clock ([`set_counting_clock`]) whose reads
-//! return `step, 2·step, 3·step, …`, making span durations exactly
-//! assertable. [`Clock`] is the per-instance form of the same abstraction,
-//! used by [`crate::trace::MetricsSink`] for its latency histogram.
+//! return `step, 2·step, 3·step, …` on each thread, making span durations
+//! exactly assertable on the thread that recorded them. [`Clock`] is the
+//! per-instance form of the same abstraction, used by
+//! [`crate::trace::MetricsSink`] for its latency histogram.
 
 use crate::stats::Histogram;
 use serde::Serialize;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -195,18 +196,32 @@ const CLOCK_COUNTING: u8 = 1;
 
 static CLOCK_MODE: AtomicU8 = AtomicU8::new(CLOCK_MONOTONIC);
 static CLOCK_STEP: AtomicU64 = AtomicU64::new(1);
-static CLOCK_TICKS: AtomicU64 = AtomicU64::new(0);
+/// Bumped by [`set_counting_clock`]; a thread whose tick counter belongs
+/// to an older generation restarts it from zero on its next read.
+static CLOCK_GENERATION: AtomicU64 = AtomicU64::new(0);
 static CLOCK_EPOCH: OnceLock<Instant> = OnceLock::new();
+
+thread_local! {
+    /// This thread's counting-clock state: `(generation, ticks)`.
+    static CLOCK_TICKS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
 
 /// Read the profiler's global clock, in nanoseconds.
 ///
 /// Monotonic mode (default): nanoseconds since the first read in this
-/// process. Counting mode: each read advances a shared counter by the
-/// configured step, so durations are exact functions of read order.
+/// process. Counting mode: each read advances the calling thread's own
+/// counter by the configured step, so durations are exact functions of
+/// that thread's read order — reads on other threads never perturb them.
 pub fn now_ns() -> u64 {
     if CLOCK_MODE.load(Ordering::Relaxed) == CLOCK_COUNTING {
         let step = CLOCK_STEP.load(Ordering::Relaxed);
-        CLOCK_TICKS.fetch_add(step, Ordering::Relaxed) + step
+        let generation = CLOCK_GENERATION.load(Ordering::Relaxed);
+        CLOCK_TICKS.with(|cell| {
+            let (seen, ticks) = cell.get();
+            let ticks = if seen == generation { ticks } else { 0 } + step;
+            cell.set((generation, ticks));
+            ticks
+        })
     } else {
         let epoch = CLOCK_EPOCH.get_or_init(Instant::now);
         epoch.elapsed().as_nanos() as u64
@@ -214,11 +229,11 @@ pub fn now_ns() -> u64 {
 }
 
 /// Switch the global clock to deterministic counting mode: successive reads
-/// return `step_ns, 2·step_ns, …`. Test-only by convention; resets the tick
-/// counter.
+/// on each thread return `step_ns, 2·step_ns, …`. Test-only by convention;
+/// restarts every thread's tick counter.
 pub fn set_counting_clock(step_ns: u64) {
     CLOCK_STEP.store(step_ns.max(1), Ordering::Relaxed);
-    CLOCK_TICKS.store(0, Ordering::Relaxed);
+    CLOCK_GENERATION.fetch_add(1, Ordering::Relaxed);
     CLOCK_MODE.store(CLOCK_COUNTING, Ordering::Relaxed);
 }
 
@@ -632,9 +647,27 @@ mod tests {
     use super::*;
 
     // The profiler is process-global; serialize tests that toggle it.
+    // Kernel tests on other threads still record spans while a test here
+    // has profiling on, so exact assertions read this thread's own row.
     fn guard() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The calling thread's rows of `report`.
+    fn mine(report: &ProfileReport) -> &[SpanReport] {
+        let me = std::thread::current().name().unwrap_or("main").to_owned();
+        report
+            .per_thread
+            .iter()
+            .find(|t| t.thread == me)
+            .map_or(&[], |t| t.spans.as_slice())
+    }
+
+    fn row(rows: &[SpanReport], phase: Phase) -> &SpanReport {
+        rows.iter()
+            .find(|s| s.phase == phase.name())
+            .unwrap_or_else(|| panic!("no {} row", phase.name()))
     }
 
     struct Armed;
@@ -662,7 +695,7 @@ mod tests {
         {
             let _s = span(Phase::Plan);
         }
-        assert!(snapshot().spans.is_empty());
+        assert!(mine(&snapshot()).is_empty());
     }
 
     #[test]
@@ -675,9 +708,10 @@ mod tests {
         }
         let report = snapshot();
         assert_eq!(report.clock, "counting");
-        assert_eq!(report.total_ns(Phase::Plan), 10);
-        let row = &report.spans[0];
-        assert_eq!((row.count, row.self_ns), (1, 10));
+        let rows = mine(&report);
+        assert_eq!(rows.len(), 1);
+        let plan = row(rows, Phase::Plan);
+        assert_eq!((plan.count, plan.total_ns, plan.self_ns), (1, 10, 10));
     }
 
     #[test]
@@ -690,12 +724,12 @@ mod tests {
             let _inner = span(Phase::Normalize);
         }
         let report = snapshot();
-        assert_eq!(report.total_ns(Phase::Update), 3);
-        assert_eq!(report.total_ns(Phase::Normalize), 1);
-        let outer = report.spans.iter().find(|s| s.phase == "update").unwrap();
+        let rows = mine(&report);
+        assert_eq!(row(rows, Phase::Update).total_ns, 3);
+        assert_eq!(row(rows, Phase::Normalize).total_ns, 1);
         // 3 ns total minus the 1 ns inner span (its guard-drop clock read
         // is outside the child's measured window, hence 2 not 1).
-        assert_eq!(outer.self_ns, 2);
+        assert_eq!(row(rows, Phase::Update).self_ns, 2);
     }
 
     #[test]
@@ -705,39 +739,52 @@ mod tests {
         record_external(Phase::PoolChunk, 500);
         record_external(Phase::PoolChunk, 700);
         let report = snapshot();
-        let row = report
-            .spans
-            .iter()
-            .find(|s| s.phase == "pool_chunk")
-            .unwrap();
-        assert!(row.external);
-        assert_eq!((row.count, row.total_ns, row.self_ns), (2, 1200, 1200));
+        let chunk = row(mine(&report), Phase::PoolChunk);
+        assert!(chunk.external);
+        assert_eq!(
+            (chunk.count, chunk.total_ns, chunk.self_ns),
+            (2, 1200, 1200)
+        );
     }
 
     #[test]
     fn snapshot_merges_threads_and_reset_clears() {
         let _g = guard();
         let _armed = Armed::new(1);
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                std::thread::spawn(|| {
-                    let _s = span(Phase::SliceRun);
-                })
+        let names: Vec<String> = (0..4).map(|i| format!("prof-merge-{i}")).collect();
+        let handles: Vec<_> = names
+            .iter()
+            .map(|name| {
+                std::thread::Builder::new()
+                    .name(name.clone())
+                    .spawn(|| {
+                        let _s = span(Phase::SliceRun);
+                    })
+                    .unwrap()
             })
             .collect();
         for h in handles {
             h.join().unwrap();
         }
         let report = snapshot();
-        let row = report
-            .spans
-            .iter()
-            .find(|s| s.phase == "slice_run")
-            .unwrap();
-        assert_eq!(row.count, 4);
-        assert!(report.threads >= 4);
+        // No other test in this crate opens slice-run spans, so the
+        // cross-thread aggregate is exactly the four spawned spans.
+        assert_eq!(row(&report.spans, Phase::SliceRun).count, 4);
+        for name in &names {
+            let t = report
+                .per_thread
+                .iter()
+                .find(|t| &t.thread == name)
+                .unwrap_or_else(|| panic!("{name} missing from the merge"));
+            assert_eq!(row(&t.spans, Phase::SliceRun).count, 1);
+        }
         reset();
-        assert!(snapshot().spans.is_empty());
+        let cleared = snapshot();
+        assert!(cleared.spans.iter().all(|s| s.phase != "slice_run"));
+        assert!(cleared
+            .per_thread
+            .iter()
+            .all(|t| !names.contains(&t.thread)));
     }
 
     #[test]
@@ -752,7 +799,13 @@ mod tests {
         let v = serde::json::parse(&json).unwrap();
         assert_eq!(v.field("schema").as_str(), Some(PROFILE_SCHEMA));
         assert_eq!(v.field("clock").as_str(), Some("counting"));
-        assert_eq!(v.field("spans").as_array().map(|a| a.len()), Some(1));
+        let me = std::thread::current().name().unwrap_or("main").to_owned();
+        let threads = v.field("per_thread").as_array().expect("per_thread array");
+        let row = threads
+            .iter()
+            .find(|t| t.field("thread").as_str() == Some(me.as_str()))
+            .expect("this thread's row");
+        assert_eq!(row.field("spans").as_array().map(|a| a.len()), Some(1));
     }
 
     #[test]

@@ -18,8 +18,7 @@
 //! an explicit disk-noise margin — see [`LATENCY_NOISE_FACTOR`]),
 //! `--max-fsync-share F` (fail if the 1-thread cell spends more than
 //! fraction `F` of its wall clock inside fsync + the group-commit
-//! barrier), `--eager-sync` (bench the pre-batching per-write fsync
-//! discipline), `--quiet`.
+//! barrier), `--quiet`.
 
 use mwrepair::VariantChoice;
 use mwrepair_service::{
@@ -227,7 +226,6 @@ fn main() {
     let mut threads: Option<usize> = None;
     let mut check: Option<PathBuf> = None;
     let mut max_fsync_share: Option<f64> = None;
-    let mut eager_sync = false;
     let mut quiet = false;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -264,13 +262,12 @@ fn main() {
                 }
                 max_fsync_share = Some(share);
             }
-            "--eager-sync" => eager_sync = true,
             "--quiet" => quiet = true,
             other => {
                 eprintln!(
                     "unknown flag {other:?}\nusage: loadgen [--sessions N] [--tenants N] \
                      [--seed S] [--out DIR] [--slice N] [--fast] [--threads N] \
-                     [--check BASELINE.json] [--max-fsync-share F] [--eager-sync] [--quiet]"
+                     [--check BASELINE.json] [--max-fsync-share F] [--quiet]"
                 );
                 std::process::exit(2);
             }
@@ -316,7 +313,6 @@ fn main() {
         let mut config = DaemonConfig::new(&workdir);
         config.slice_iterations = slice;
         config.quiet = true;
-        config.group_commit = !eager_sync;
         let mut daemon = Daemon::open(config).unwrap_or_else(|e| {
             eprintln!("loadgen: {e}");
             std::process::exit(1);
@@ -422,9 +418,9 @@ fn main() {
         }
     }
     if let Some(ceiling) = max_fsync_share {
-        // The tentpole's headline number: the 1-thread cell's wall-clock
-        // fraction spent on durability (per-write fsyncs + the batched
-        // barrier). Group commit must keep it under the ceiling.
+        // The 1-thread cell's wall-clock fraction spent on durability
+        // (one-shot fsyncs + the batched barrier). Group commit must keep
+        // it under the ceiling.
         let cell = report
             .cells
             .iter()

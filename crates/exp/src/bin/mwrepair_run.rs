@@ -24,8 +24,9 @@
 use apr_sim::BugScenario;
 use mwrepair::{
     effective_arms, repair_resumable, Checkpoint, CheckpointPolicy, MwRepairConfig, SessionControl,
-    SessionResult, VariantChoice,
+    SessionResult, VariantChoice, Vfs,
 };
+use mwrepair_service::RealVfs;
 use mwu_core::trace::Observer;
 use mwu_core::{
     DistributedConfig, DistributedMwu, MwuAlgorithm, SlateConfig, SlateMwu, StandardConfig,
@@ -33,6 +34,7 @@ use mwu_core::{
 };
 use mwu_experiments::CommonArgs;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 #[allow(clippy::too_many_arguments)]
 fn run_variant<A, O>(
@@ -131,8 +133,9 @@ fn main() {
     // Startup sweep: a crash between save_atomic's tmp write and rename
     // strands a torn `<path>.tmp`; remove it before resuming (and before
     // the first save) so it can never shadow the real checkpoint.
+    let vfs: Arc<dyn Vfs> = Arc::new(RealVfs);
     for p in args.resume.iter().chain(args.checkpoint.iter()) {
-        match Checkpoint::sweep_orphan_tmp(p) {
+        match Checkpoint::sweep_orphan_tmp(vfs.as_ref(), p) {
             Ok(true) if !args.quiet => {
                 eprintln!("removed orphaned {}.tmp from a crashed save", p.display());
             }
@@ -144,7 +147,7 @@ fn main() {
         }
     }
     let resume = args.resume.as_deref().map(|p| {
-        Checkpoint::load(p).unwrap_or_else(|e| {
+        Checkpoint::load(vfs.as_ref(), p).unwrap_or_else(|e| {
             eprintln!("cannot resume from {}: {e}", p.display());
             std::process::exit(1);
         })
@@ -153,7 +156,7 @@ fn main() {
         checkpoint: args
             .checkpoint
             .as_deref()
-            .map(|p| CheckpointPolicy::new(p, args.checkpoint_every)),
+            .map(|p| CheckpointPolicy::new(Arc::clone(&vfs), p, args.checkpoint_every)),
         halt_after_iterations: halt_after,
     };
     if !args.quiet {

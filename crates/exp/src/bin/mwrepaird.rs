@@ -21,9 +21,7 @@
 //! `trace.NNN.jsonl` segments; concatenation stays byte-identical to the
 //! single-file layout — see `docs/SERVICE.md`), `--profile` (enable the
 //! phase profiler; the span report lands in `<work>/metrics.json`),
-//! `--eager-sync` (disable the group-commit barrier and fsync every write
-//! at the point it happens, the pre-batching durability discipline —
-//! bytes are identical either way, see `docs/SERVICE.md`), `--quiet`.
+//! `--quiet`.
 //! Exit codes: 2 usage, 1 protocol/session/I-O failure.
 //!
 //! Storage-fault injection (docs/FAULTS.md §5): `--fault-rate R` mounts the
@@ -41,7 +39,7 @@ use std::sync::Arc;
 fn usage(msg: &str) -> ! {
     eprintln!(
         "{msg}\nusage: mwrepaird --work DIR [--jobs FILE|-] [--slice N] [--halt-after ROUNDS] \
-         [--threads N] [--trace-segment-bytes N] [--profile] [--eager-sync] [--quiet] \
+         [--threads N] [--trace-segment-bytes N] [--profile] [--quiet] \
          [--fault-rate R] [--fault-class eio|mixed|torn|lies] [--fault-seed N]"
     );
     std::process::exit(2);
@@ -61,7 +59,6 @@ fn main() {
     let mut quiet = false;
     let mut trace_segment_bytes: Option<u64> = None;
     let mut profile = false;
-    let mut eager_sync = false;
     let mut fault_rate: f64 = 0.0;
     let mut fault_class = String::from("mixed");
     let mut fault_seed: u64 = 0;
@@ -84,7 +81,6 @@ fn main() {
                 ))
             }
             "--profile" => profile = true,
-            "--eager-sync" => eager_sync = true,
             "--quiet" => quiet = true,
             "--fault-rate" => fault_rate = parse_num("--fault-rate", &take("--fault-rate")),
             "--fault-class" => fault_class = take("--fault-class"),
@@ -105,7 +101,6 @@ fn main() {
     config.slice_iterations = slice.max(1);
     config.halt_after_rounds = halt_after;
     config.quiet = quiet;
-    config.group_commit = !eager_sync;
     if let Some(cap) = trace_segment_bytes {
         if cap == 0 {
             usage("--trace-segment-bytes must be positive");

@@ -11,25 +11,25 @@
 //!
 //! ## File format
 //!
-//! One JSON object (see [`Checkpoint`] for fields), written atomically:
-//! the bytes go to `<path>.tmp` which is fsynced and then renamed over
-//! `<path>`, so a crash mid-write can never leave a truncated checkpoint —
-//! readers observe either the previous complete file or the new one.
-//! The leading `version` field gates compatibility: [`load`] rejects files
-//! whose version differs from [`CHECKPOINT_VERSION`] rather than
-//! misinterpreting them.
+//! One JSON object (see [`Checkpoint`] for fields), written atomically
+//! through a [`Vfs`]: the bytes go to `<path>.tmp` which is fsynced and
+//! then renamed over `<path>`, so a crash mid-write can never leave a
+//! truncated checkpoint — readers observe either the previous complete
+//! file or the new one. The leading `version` field gates compatibility:
+//! [`Checkpoint::load`] rejects files whose version differs from
+//! [`CHECKPOINT_VERSION`] rather than misinterpreting them.
 //!
 //! Floating-point state round-trips bit-exactly: the vendored serde JSON
 //! codec prints `f64` via shortest-round-trip formatting and parses with
 //! `str::parse`, so `weights -> JSON -> weights` is the identity.
 
 use crate::driver::MwRepairConfig;
+use crate::vfs::{tmp_path, Vfs};
 use apr_sim::ledger::CostSnapshot;
 use mwu_core::MwuAlgorithm;
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
-use std::io::Write;
 use std::path::Path;
 
 /// Current on-disk checkpoint format version. Bump on any incompatible
@@ -192,28 +192,24 @@ impl Checkpoint {
         Checkpoint::from_value(&value).map_err(|e| CheckpointError::Parse(e.to_string()))
     }
 
-    /// Write atomically and durably: serialize to `<path>.tmp`, fsync,
-    /// rename over `path`, then fsync the parent directory. A crash at any
-    /// point leaves either the old complete file or the new one, never a
-    /// torn write — and once this returns, the rename itself survives a
-    /// crash (the directory entry is on disk, not just in the page cache).
-    pub fn save_atomic(&self, path: &Path) -> Result<(), CheckpointError> {
+    /// Write atomically and durably through `vfs` ([`Vfs::write_atomic`]:
+    /// `<path>.tmp`, fsync, rename over `path`, fsync the parent
+    /// directory). A crash at any point leaves either the old complete
+    /// file or the new one, never a torn write — and once this returns,
+    /// the rename itself survives a crash.
+    pub fn save_atomic(&self, vfs: &dyn Vfs, path: &Path) -> Result<(), CheckpointError> {
         let _span = mwu_core::prof::span(mwu_core::prof::Phase::CheckpointWrite);
-        let tmp = tmp_path(path);
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(self.to_json().as_bytes())?;
-            f.write_all(b"\n")?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        sync_parent_dir(path)?;
+        let mut doc = self.to_json();
+        doc.push('\n');
+        vfs.write_atomic(path, doc.as_bytes())?;
         Ok(())
     }
 
     /// Load and version-check a checkpoint file.
-    pub fn load(path: &Path) -> Result<Self, CheckpointError> {
-        let text = std::fs::read_to_string(path)?;
+    pub fn load(vfs: &dyn Vfs, path: &Path) -> Result<Self, CheckpointError> {
+        let bytes = vfs.read(path)?;
+        let text = String::from_utf8(bytes)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         Checkpoint::from_json(&text)
     }
 
@@ -222,40 +218,14 @@ impl Checkpoint {
     /// The tmp file is by definition unvouched-for (possibly torn), so it
     /// must never shadow — or be mistaken for — the real checkpoint.
     /// Returns whether an orphan was removed.
-    pub fn sweep_orphan_tmp(path: &Path) -> Result<bool, CheckpointError> {
+    pub fn sweep_orphan_tmp(vfs: &dyn Vfs, path: &Path) -> Result<bool, CheckpointError> {
         let tmp = tmp_path(path);
-        match std::fs::remove_file(&tmp) {
+        match vfs.remove_file(&tmp) {
             Ok(()) => Ok(true),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
             Err(e) => Err(CheckpointError::Io(e)),
         }
     }
-}
-
-fn tmp_path(path: &Path) -> std::path::PathBuf {
-    let mut os = path.as_os_str().to_owned();
-    os.push(".tmp");
-    std::path::PathBuf::from(os)
-}
-
-/// Fsync the directory containing `path`, making a just-completed rename
-/// durable. On POSIX, `rename` updates the directory inode; until that
-/// inode is synced, a power loss can roll the directory back to the old
-/// entry even though the file data itself was fsynced.
-#[cfg(unix)]
-fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
-    let parent = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p,
-        _ => Path::new("."),
-    };
-    std::fs::File::open(parent)?.sync_all()
-}
-
-/// Directory handles are not openable/syncable portably off unix; the
-/// rename is still atomic, just not guaranteed durable.
-#[cfg(not(unix))]
-fn sync_parent_dir(_path: &Path) -> std::io::Result<()> {
-    Ok(())
 }
 
 #[cfg(test)]
@@ -363,71 +333,6 @@ mod tests {
         assert!(ck
             .validate_against("standard", &MwRepairConfig::seeded(7))
             .is_ok());
-    }
-
-    #[test]
-    fn save_atomic_writes_complete_file_and_cleans_tmp() {
-        let dir = std::env::temp_dir().join(format!("mwr-ckpt-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("run.ckpt");
-        let ck = sample_checkpoint();
-        ck.save_atomic(&path).unwrap();
-        assert!(!tmp_path(&path).exists(), "tmp file must be renamed away");
-        let loaded = Checkpoint::load(&path).unwrap();
-        assert_eq!(ck, loaded);
-        // Overwrite with a later checkpoint; reader sees the new state.
-        let mut ck2 = ck.clone();
-        ck2.iteration = 6;
-        ck2.save_atomic(&path).unwrap();
-        assert_eq!(Checkpoint::load(&path).unwrap().iteration, 6);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn save_atomic_syncs_parent_of_bare_and_nested_paths() {
-        // Bare filename: the parent is the empty path; the directory fsync
-        // must fall back to "." instead of erroring.
-        sync_parent_dir(Path::new("bare.ckpt")).unwrap();
-
-        // Nested directory: fsyncs the deepest parent, not the temp root.
-        let dir = std::env::temp_dir().join(format!("mwr-ckpt-nested-{}", std::process::id()));
-        let nested = dir.join("a").join("b");
-        std::fs::create_dir_all(&nested).unwrap();
-        let ck = sample_checkpoint();
-        let path = nested.join("run.ckpt");
-        ck.save_atomic(&path).unwrap();
-        assert!(!tmp_path(&path).exists());
-        assert_eq!(Checkpoint::load(&path).unwrap(), ck);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn poisoned_tmp_never_shadows_or_corrupts_a_resume() {
-        let dir = std::env::temp_dir().join(format!("mwr-ckpt-sweep-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("run.ckpt");
-        let ck = sample_checkpoint();
-        ck.save_atomic(&path).unwrap();
-
-        // A crash mid-save strands a torn tmp beside the good checkpoint.
-        let json = ck.to_json();
-        std::fs::write(tmp_path(&path), &json.as_bytes()[..json.len() / 3]).unwrap();
-
-        assert!(
-            Checkpoint::sweep_orphan_tmp(&path).unwrap(),
-            "orphan missed"
-        );
-        assert!(!tmp_path(&path).exists());
-        assert_eq!(Checkpoint::load(&path).unwrap(), ck, "resume corrupted");
-
-        // Sweeping again is a no-op, and a fresh save still round-trips.
-        assert!(!Checkpoint::sweep_orphan_tmp(&path).unwrap());
-        let mut ck2 = ck.clone();
-        ck2.iteration += 1;
-        ck2.save_atomic(&path).unwrap();
-        assert_eq!(Checkpoint::load(&path).unwrap(), ck2);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

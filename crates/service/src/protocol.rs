@@ -74,7 +74,7 @@ impl ScenarioSpec {
     pub fn validate(&self) -> Result<(), String> {
         match self {
             ScenarioSpec::Catalog { name } => {
-                if BugScenario::by_name(name).is_none() {
+                if !BugScenario::in_catalog(name) {
                     return Err(format!("unknown catalog scenario {name:?}"));
                 }
             }

@@ -6,14 +6,17 @@
 //! it to [`mwrepair::repair_resumable`] with the previous slice's
 //! [`Checkpoint`] (the checkpoint *is* the carried state — there is no
 //! in-memory algorithm between slices), buffers the slice's trace events
-//! in memory, and then persists in a crash-ordered sequence:
+//! in memory, and then stages its persistence in the round's durability
+//! epoch:
 //!
-//! 1. append the slice's trace bytes to `trace.jsonl` and fsync;
-//! 2. atomically replace `session.json` (recorded trace length + the new
-//!    checkpoint) — or, on completion, atomically write `report.json`.
+//! 1. append the slice's trace bytes to `trace.jsonl` (no fsync yet);
+//! 2. write `session.json.tmp` (recorded trace length + the new
+//!    checkpoint) — or, on completion, `report.json.tmp`.
 //!
-//! A crash between (1) and (2) leaves trace bytes past the recorded
-//! length; [`SessionRunner::open`] truncates the trace back to the length
+//! [`commit_epoch`] then makes every staged byte durable in one batched
+//! barrier and only afterwards renames the staged documents into place.
+//! A crash before a rename leaves trace bytes past the recorded length;
+//! [`SessionRunner::open`] truncates the trace back to the length
 //! `session.json` vouches for and re-runs the slice, which re-appends the
 //! identical bytes. That is what makes the kill/resume half of the
 //! determinism contract hold byte-for-byte.
@@ -32,7 +35,7 @@
 //! latched, the daemon calls [`SessionRunner::quarantine_if_failed`] at
 //! the next round barrier, and a durable [`QuarantineRecord`] post-mortem
 //! (`quarantine.json`) is written beside the retained checkpoint. The
-//! checkpoint only advances after a durable `session.json` write, so a
+//! checkpoint only advances once its epoch commits, so a
 //! failed slice is never charged to the tenant's budget and a re-opened
 //! session resumes from the last durable state to byte-identical
 //! completion. Re-opening a quarantined session under a working disk
@@ -56,6 +59,7 @@ use simnet::faults::RetryPolicy;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// `session.json` format version.
 const META_VERSION: u32 = 1;
@@ -301,9 +305,6 @@ pub struct SessionRunner {
     quarantine: Option<QuarantineRecord>,
     /// Storage retries performed on this session's behalf.
     io_retries: u64,
-    /// Deferred-durability mode: slice artifacts are staged and only made
-    /// durable (and vouched for) at the daemon's group-commit barrier.
-    group_commit: bool,
     /// Artifacts staged in the current durability epoch.
     staged: EpochStage,
     /// Wall-clock from daemon start to the completion barrier, filled in
@@ -311,11 +312,11 @@ pub struct SessionRunner {
     pub(crate) wall_ms: Option<f64>,
 }
 
-/// Slice artifacts staged during one durability epoch (group-commit
-/// mode): bytes written since the last round barrier that are not yet
-/// durable and not yet vouched for. The barrier makes `appends` and the
-/// `<doc>.tmp` files durable in one batched pass; `commit_epoch` then
-/// publishes the staged replaces and promotes checkpoint/report state.
+/// Slice artifacts staged during one durability epoch: bytes written
+/// since the last commit that are not yet durable and not yet vouched
+/// for. The barrier makes `appends` and the `<doc>.tmp` files durable in
+/// one batched pass; `publish_epoch` then renames the staged replaces
+/// into place and promotes checkpoint/report state.
 #[derive(Debug, Default)]
 struct EpochStage {
     /// Trace segments this epoch appended to (barrier sync targets).
@@ -413,7 +414,6 @@ impl SessionRunner {
             error: None,
             quarantine: None,
             io_retries: 0,
-            group_commit: false,
             staged: EpochStage::default(),
             wall_ms: None,
         };
@@ -655,9 +655,11 @@ impl SessionRunner {
         }
     }
 
-    /// Run one slice of at most `slice_iterations` update cycles. Errors
-    /// are latched into the runner (this is called inside a parallel
-    /// region); the daemon surfaces them at the next barrier.
+    /// Run one slice of at most `slice_iterations` update cycles, staging
+    /// its trace bytes and checkpoint (or report) for the next
+    /// [`commit_epoch`]. Errors are latched into the runner (this is
+    /// called inside a parallel region); the daemon surfaces them at the
+    /// next barrier.
     pub fn run_slice(&mut self, slice_iterations: usize) {
         if !self.is_active() {
             return;
@@ -798,82 +800,40 @@ impl SessionRunner {
                 doc.push('\n');
                 let path = self.meta_path();
                 let _span = mwu_core::prof::span(mwu_core::prof::Phase::SessionReplace);
-                if self.group_commit {
-                    // Stage the vouch: the tmp is written now, but the
-                    // rename (and the checkpoint promotion that lets
-                    // budgets charge this slice) waits for the barrier
-                    // that makes the trace bytes it vouches for durable.
-                    self.retrying(StorageOp::AtomicWrite, &path, |vfs| {
-                        vfs.write_atomic_deferred(&path, doc.as_bytes())
-                    })?;
-                    self.staged.docs.push(path);
-                    self.staged.meta = Some((meta.trace_len, meta.checkpoint));
-                } else {
-                    self.retrying(StorageOp::AtomicWrite, &path, |vfs| {
-                        vfs.write_atomic(&path, doc.as_bytes())
-                    })?;
-                    self.durable_trace_len = meta.trace_len;
-                    self.checkpoint = Some(meta.checkpoint);
-                }
+                // Stage the vouch: the tmp is written now, but the rename
+                // (and the checkpoint promotion that lets budgets charge
+                // this slice) waits for the barrier that makes the trace
+                // bytes it vouches for durable.
+                self.retrying(StorageOp::AtomicWrite, &path, |vfs| {
+                    vfs.write_atomic_deferred(&path, doc.as_bytes())
+                })?;
+                self.staged.docs.push(path);
+                self.staged.meta = Some((meta.trace_len, meta.checkpoint));
             }
             SessionResult::Complete(outcome) => {
                 let report = SessionReport::completed(&self.job, outcome);
                 let mut doc = report.to_json();
                 doc.push('\n');
                 let path = self.report_path();
-                if self.group_commit {
-                    self.retrying(StorageOp::AtomicWrite, &path, |vfs| {
-                        vfs.write_atomic_deferred(&path, doc.as_bytes())
-                    })?;
-                    self.staged.docs.push(path);
-                    self.staged.removals.push(self.meta_path());
-                    self.staged.report = Some(report);
-                } else {
-                    self.retrying(StorageOp::AtomicWrite, &path, |vfs| {
-                        vfs.write_atomic(&path, doc.as_bytes())
-                    })?;
-                    // The checkpoint is spent; its absence (with a report
-                    // present) is unambiguous on reload. The removal goes
-                    // through the same retry path so a hostile disk can't
-                    // silently leave stale state — exhaustion quarantines,
-                    // and the next fault-free open heals the leftovers.
-                    let meta = self.meta_path();
-                    if self.vfs.exists(&meta) {
-                        self.retrying(StorageOp::Remove, &meta, |vfs| vfs.remove_file(&meta))?;
-                    }
-                    self.durable_trace_len = self.trace_len;
-                    self.report = Some(report);
-                }
+                self.retrying(StorageOp::AtomicWrite, &path, |vfs| {
+                    vfs.write_atomic_deferred(&path, doc.as_bytes())
+                })?;
+                self.staged.docs.push(path);
+                // The checkpoint is spent once the report publishes; its
+                // absence (with a report present) is unambiguous on reload.
+                self.staged.removals.push(self.meta_path());
+                self.staged.report = Some(report);
             }
         }
         Ok(())
     }
 
-    /// Switch this runner to deferred durability: slice artifacts are
-    /// staged, the daemon's round barrier makes them durable in one
-    /// batched [`Vfs::sync_barrier`] pass, and [`SessionRunner::commit_epoch`]
-    /// then publishes them. Off by default — standalone runners (and
-    /// `mwrepair_run`) keep the eager per-slice fsync discipline.
-    pub fn set_group_commit(&mut self, enabled: bool) {
-        self.group_commit = enabled;
-    }
-
     /// Paths whose staged bytes this epoch's barrier must make durable:
     /// the trace segments appended to plus the `<doc>.tmp` of every
-    /// staged atomic replace. A vfs whose `write_atomic_deferred` falls
-    /// back to the eager default leaves no tmp behind (the rename
-    /// already happened); the sync target is then the final path.
-    /// Empty outside group-commit mode.
-    pub(crate) fn staged_sync_paths(&self) -> Vec<PathBuf> {
+    /// staged atomic replace.
+    fn staged_sync_paths(&self) -> Vec<PathBuf> {
         let mut paths = self.staged.appends.clone();
-        paths.extend(self.staged.docs.iter().map(|d| {
-            let tmp = tmp_path(d);
-            if self.vfs.exists(&tmp) {
-                tmp
-            } else {
-                d.clone()
-            }
-        }));
+        paths.extend(self.staged.docs.iter().map(|d| tmp_path(d)));
         paths
     }
 
@@ -881,7 +841,7 @@ impl SessionRunner {
     /// batched pass failed for it, under the session's retry policy.
     /// Exhaustion latches the error: the next barrier quarantines this
     /// session alone, without aborting the rest of the epoch.
-    pub(crate) fn retry_staged_sync(&mut self, path: &Path) {
+    fn retry_staged_sync(&mut self, path: &Path) {
         if self.error.is_some() {
             return;
         }
@@ -891,16 +851,18 @@ impl SessionRunner {
         }
     }
 
-    /// Commit the current durability epoch after the barrier made its
-    /// staged bytes durable: publish staged replaces (rename
-    /// `<doc>.tmp` over `<doc>`), apply staged removals, then promote
-    /// the staged checkpoint/report — the order that keeps the vouch
-    /// contract (no `session.json` durable before its trace bytes).
+    /// Publish the current durability epoch after the barrier made its
+    /// staged bytes durable: rename `<doc>.tmp` over `<doc>`, apply
+    /// staged removals, then promote the staged checkpoint/report — the
+    /// order that keeps the vouch contract (no `session.json` durable
+    /// before its trace bytes). Removals go through the retry path so a
+    /// hostile disk can't silently leave stale state: exhaustion
+    /// quarantines, and the next fault-free open heals the leftovers.
     /// Sessions with a latched error discard their stage instead:
     /// `durable_trace_len` stays at the last vouched value, so the
     /// quarantine post-mortem and a later re-arm see exactly the durable
     /// prefix. No-op when nothing is staged.
-    pub(crate) fn commit_epoch(&mut self) {
+    fn publish_epoch(&mut self) {
         let stage = std::mem::take(&mut self.staged);
         if stage.is_empty() || self.error.is_some() {
             return;
@@ -1029,7 +991,6 @@ impl SessionRunner {
         let path = self.trace_segment_path(target);
         let expect = self.segments[target];
         let mut first = true;
-        let deferred = self.group_commit;
         self.retrying(StorageOp::Append, &path, |vfs| {
             // A failed attempt may have persisted a torn prefix; restore
             // the file to the known-good length before re-appending so
@@ -1039,19 +1000,61 @@ impl SessionRunner {
                 vfs.truncate_sync(&path, expect)?;
             }
             first = false;
-            if deferred {
-                vfs.append_deferred(&path, bytes)
-            } else {
-                vfs.append_sync(&path, bytes)
-            }
+            vfs.append_deferred(&path, bytes)
         })?;
-        if deferred {
-            self.staged.appends.push(path);
-        }
+        self.staged.appends.push(path);
         self.segments[target] += bytes.len() as u64;
         self.trace_len += bytes.len() as u64;
         Ok(())
     }
+}
+
+/// Commit one durability epoch over `sessions`, which write through one
+/// shared vfs (a daemon's sessions do; a standalone runner commits an
+/// epoch of one): a single batched [`Vfs::sync_barrier`] makes every
+/// session's staged bytes — trace appends and the `<doc>.tmp` of staged
+/// replaces — durable, then each session renames its staged documents
+/// into place and promotes its checkpoint/report. The two-phase order
+/// *is* the crash contract: no `session.json` (or `report.json`) becomes
+/// visible before the trace bytes it vouches for are durable. A path the
+/// batched pass fails is retried individually through its owning
+/// session's budget; exhaustion quarantines that session alone, and the
+/// epoch commits for everyone else.
+///
+/// On Linux the renames become durable at the next barrier's `syncfs`;
+/// whoever commits the last epoch issues one more barrier over the work
+/// directory (the daemon's end-of-run flush).
+///
+/// Returns the number of staged paths handed to the barrier and the
+/// barrier's wall-clock in milliseconds (the batched pass plus per-path
+/// retries), or `None` when nothing was staged and no barrier ran.
+pub fn commit_epoch(sessions: &mut [SessionRunner]) -> Option<(usize, f64)> {
+    let mut flat: Vec<PathBuf> = Vec::new();
+    let mut owner: Vec<usize> = Vec::new();
+    for (i, s) in sessions.iter().enumerate() {
+        if !s.is_active() {
+            continue; // errored slices discard their stage at publish
+        }
+        for p in s.staged_sync_paths() {
+            flat.push(p);
+            owner.push(i);
+        }
+    }
+    let mut barrier = None;
+    if let Some(&first) = owner.first() {
+        let start = Instant::now();
+        let vfs = Arc::clone(&sessions[first].vfs);
+        for (k, result) in vfs.sync_barrier(&flat).into_iter().enumerate() {
+            if result.is_err() {
+                sessions[owner[k]].retry_staged_sync(&flat[k]);
+            }
+        }
+        barrier = Some((flat.len(), start.elapsed().as_secs_f64() * 1e3));
+    }
+    for s in sessions.iter_mut() {
+        s.publish_epoch();
+    }
+    barrier
 }
 
 /// Per-slice observer: forwards everything to the inner sink except the
@@ -1122,6 +1125,12 @@ mod tests {
         dir
     }
 
+    /// Run one slice and commit it as an epoch of one.
+    fn step(s: &mut SessionRunner, slice: usize) {
+        s.run_slice(slice);
+        commit_epoch(std::slice::from_mut(s));
+    }
+
     fn run_to_completion(workdir: &Path, job: &JobSpec, slice: usize) -> (Vec<u8>, String) {
         let data = data_for(job);
         let mut s = SessionRunner::open(job.clone(), data, workdir).unwrap();
@@ -1129,7 +1138,7 @@ mod tests {
             if !s.is_active() {
                 break;
             }
-            s.run_slice(slice);
+            step(&mut s, slice);
             if let Some(e) = s.take_error() {
                 panic!("slice error: {e}");
             }
@@ -1193,8 +1202,8 @@ mod tests {
         // Two slices, then drop the runner (simulated daemon death).
         {
             let mut s = SessionRunner::open(job.clone(), Arc::clone(&data), &workdir).unwrap();
-            s.run_slice(3);
-            s.run_slice(3);
+            step(&mut s, 3);
+            step(&mut s, 3);
             assert!(s.is_active());
         }
         // Re-open and also simulate a torn post-meta append.
@@ -1212,7 +1221,7 @@ mod tests {
         }
         let mut s = SessionRunner::open(job.clone(), data, &workdir).unwrap();
         while s.is_active() {
-            s.run_slice(3);
+            step(&mut s, 3);
             assert!(s.take_error().is_none());
         }
         let trace = std::fs::read(s.trace_path()).unwrap();
@@ -1259,7 +1268,7 @@ mod tests {
         let mut s =
             SessionRunner::open_on(job.clone(), data, &workdir, vfs.clone(), policy).unwrap();
         while s.is_active() {
-            s.run_slice(1);
+            step(&mut s, 1);
             if let Some(e) = s.take_error() {
                 panic!("retries should have absorbed the faults: {e}");
             }
@@ -1286,8 +1295,8 @@ mod tests {
         // enough to exhaust the (tiny) retry budget.
         {
             let mut s = SessionRunner::open(job.clone(), Arc::clone(&data), &workdir).unwrap();
-            s.run_slice(3);
-            s.run_slice(3);
+            step(&mut s, 3);
+            step(&mut s, 3);
             assert!(s.is_active());
         }
         let durable_len;
@@ -1305,7 +1314,7 @@ mod tests {
                     .unwrap();
             let mut guard = 0;
             while s.is_active() && guard < 100 {
-                s.run_slice(3);
+                step(&mut s, 3);
                 guard += 1;
             }
             assert!(s.quarantine_if_failed(), "a 95% adversary must fail it");
@@ -1321,7 +1330,7 @@ mod tests {
         let mut s = SessionRunner::open(job.clone(), data, &workdir).unwrap();
         assert!(s.is_active(), "re-open did not re-arm");
         while s.is_active() {
-            s.run_slice(3);
+            step(&mut s, 3);
             assert!(s.take_error().is_none());
         }
         assert!(
@@ -1347,7 +1356,7 @@ mod tests {
         let data = data_for(&job);
         {
             let mut s = SessionRunner::open(job.clone(), Arc::clone(&data), &workdir).unwrap();
-            s.run_slice(3);
+            step(&mut s, 3);
             assert!(s.is_active());
         }
         // A crash mid-atomic-write strands partial tmp files; poison all
@@ -1362,7 +1371,7 @@ mod tests {
             assert!(!dir.join(name).exists(), "{name} survived the sweep");
         }
         while s.is_active() {
-            s.run_slice(3);
+            step(&mut s, 3);
             assert!(s.take_error().is_none());
         }
         let trace = std::fs::read(s.trace_path()).unwrap();
@@ -1395,7 +1404,7 @@ mod tests {
             if !s.is_active() {
                 break;
             }
-            s.run_slice(slice);
+            step(&mut s, slice);
             if let Some(e) = s.take_error() {
                 panic!("slice error: {e}");
             }
@@ -1464,8 +1473,8 @@ mod tests {
         // Two slices under a tiny cap, then drop mid-flight (daemon death).
         let last_segment = {
             let mut s = open(150);
-            s.run_slice(3);
-            s.run_slice(3);
+            step(&mut s, 3);
+            step(&mut s, 3);
             assert!(s.is_active());
             assert!(
                 s.trace_segment_paths().len() >= 2,
@@ -1486,7 +1495,7 @@ mod tests {
         // new cap, and the logical concatenation still matches.
         let mut s = open(400);
         while s.is_active() {
-            s.run_slice(3);
+            step(&mut s, 3);
             assert!(s.take_error().is_none());
         }
         assert_eq!(s.read_trace().unwrap(), reference_trace);
@@ -1551,7 +1560,7 @@ mod tests {
             if !s.is_active() {
                 break;
             }
-            s.run_slice(2);
+            step(&mut s, 2);
             if let Some(e) = s.take_error() {
                 panic!("retries should absorb this schedule: {e}");
             }

@@ -1,16 +1,17 @@
-//! Storage abstraction and deterministic storage-fault injection.
+//! Storage implementations and deterministic storage-fault injection.
 //!
 //! Everything the service layer does to disk goes through the [`Vfs`]
-//! trait: coarse, whole-operation primitives (append+fsync, atomic
-//! replace, truncate, read, remove) rather than file handles, so a fault
-//! adversary can interpose on exactly the operations whose failure modes
-//! matter for the durability contract.
+//! trait (defined in `mwrepair::vfs`, so checkpoints write through the
+//! same seam): coarse, whole-operation primitives rather than file
+//! handles, so a fault adversary can interpose on exactly the operations
+//! whose failure modes matter for the durability contract.
 //!
 //! Two implementations:
 //!
-//! * [`RealVfs`] — a passthrough to `std::fs` with the crash-ordering
-//!   discipline the daemon has always used (tmp + fsync + rename +
-//!   parent-dir fsync for atomic replaces, fsync after appends).
+//! * [`RealVfs`] — a passthrough to `std::fs` with the workspace's
+//!   crash-ordering discipline (staged writes made durable by one
+//!   `syncfs(2)` barrier; tmp + fsync + rename + parent-dir fsync for
+//!   one-shot atomic replaces).
 //! * [`FaultVfs`] — a hostile disk driven by a [`StorageFaultPlan`], the
 //!   storage analogue of `simnet::faults::FaultPlan`: every decision is a
 //!   **pure keyed hash** of `(seed, path, op, attempt)`, where `attempt`
@@ -53,6 +54,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+pub use mwrepair::vfs::{tmp_path, Vfs};
+
 /// The storage operations the service layer performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum StorageOp {
@@ -60,7 +63,7 @@ pub enum StorageOp {
     CreateDir,
     /// Whole-file read.
     Read,
-    /// Append bytes and fsync.
+    /// Append bytes (staged, or durable for a one-shot append).
     Append,
     /// Truncate (or create) to a length and fsync.
     Truncate,
@@ -104,92 +107,6 @@ impl StorageOp {
     }
 }
 
-/// The storage layer every session and the daemon itself write through.
-///
-/// All methods are whole operations: they open, act, fsync, and close
-/// internally, so implementations can fail (or lie) at any boundary
-/// without leaking handles into the caller.
-pub trait Vfs: fmt::Debug + Send + Sync {
-    /// Create `path` and all missing ancestors.
-    fn create_dir_all(&self, path: &Path) -> io::Result<()>;
-    /// Read the whole file.
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
-    /// Append `bytes` (creating the file if missing) and fsync.
-    fn append_sync(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
-    /// Truncate (creating if missing) to `len` bytes and fsync.
-    fn truncate_sync(&self, path: &Path, len: u64) -> io::Result<()>;
-    /// Current length in bytes; `Ok(0)` for a missing file.
-    fn file_len(&self, path: &Path) -> io::Result<u64>;
-    /// Atomically and durably replace `path` with `bytes`: write
-    /// `<path>.tmp`, fsync, rename over `path`, fsync the parent
-    /// directory.
-    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
-    /// Remove a file.
-    fn remove_file(&self, path: &Path) -> io::Result<()>;
-    /// Remove a directory and everything under it.
-    fn remove_dir_all(&self, path: &Path) -> io::Result<()>;
-    /// Does the path exist? (Metadata errors read as absent; existence
-    /// probes are not fault-injected — only acting on the path is.)
-    fn exists(&self, path: &Path) -> bool;
-    /// Total faults injected so far (0 for non-injecting implementations).
-    fn injected_faults(&self) -> u64 {
-        0
-    }
-
-    // --- Deferred durability (group commit) -------------------------------
-    //
-    // The staged write path: `append_deferred` / `write_atomic_deferred`
-    // put bytes on disk without waiting for durability, `sync_barrier`
-    // makes every staged byte durable in one batched pass, and
-    // `commit_atomic` then publishes staged replaces by renaming
-    // `<path>.tmp` over `path`. The crash-order contract is the caller's:
-    // never commit a replace whose content (or the data it vouches for)
-    // has not passed a barrier. Defaults fall back to the eager methods,
-    // which are strictly more durable, so wrapper implementations that
-    // only override the eager surface stay correct.
-
-    /// Stage an append (creating the file if missing) without fsync; a
-    /// later [`Vfs::sync_barrier`] or [`Vfs::sync_file`] makes it
-    /// durable. Default: eager [`Vfs::append_sync`].
-    fn append_deferred(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        self.append_sync(path, bytes)
-    }
-
-    /// Stage an atomic replace: write `<path>.tmp` without fsync and
-    /// without renaming. Commit order is `sync_barrier` (content
-    /// durable) then [`Vfs::commit_atomic`] (rename). Default: eager
-    /// [`Vfs::write_atomic`]; the matching [`Vfs::commit_atomic`]
-    /// default is then a no-op because no staged tmp remains.
-    fn write_atomic_deferred(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        self.write_atomic(path, bytes)
-    }
-
-    /// Make one staged path durable (fsync; directories allowed). The
-    /// barrier's per-path retry primitive. Default: open + `sync_all`.
-    fn sync_file(&self, path: &Path) -> io::Result<()> {
-        let _span = mwu_core::prof::span(mwu_core::prof::Phase::SyncBarrier);
-        std::fs::File::open(path)?.sync_all()
-    }
-
-    /// Finish a staged atomic replace by renaming `<path>.tmp` over
-    /// `path`. Only call after the tmp content passed a barrier. No-op
-    /// when no tmp is staged (the eager `write_atomic_deferred` default
-    /// leaves none).
-    fn commit_atomic(&self, path: &Path) -> io::Result<()> {
-        let tmp = tmp_path(path);
-        if self.exists(&tmp) {
-            std::fs::rename(&tmp, path)?;
-        }
-        Ok(())
-    }
-
-    /// Make every staged write durable in one batched pass; one result
-    /// per path, index-aligned. Default: per-path [`Vfs::sync_file`].
-    fn sync_barrier(&self, paths: &[PathBuf]) -> Vec<io::Result<()>> {
-        paths.iter().map(|p| self.sync_file(p)).collect()
-    }
-}
-
 /// Passthrough to `std::fs` with the workspace durability discipline.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RealVfs;
@@ -201,16 +118,6 @@ impl Vfs for RealVfs {
 
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         std::fs::read(path)
-    }
-
-    fn append_sync(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(path)?;
-        f.write_all(bytes)?;
-        let _span = mwu_core::prof::span(mwu_core::prof::Phase::Fsync);
-        f.sync_all()
     }
 
     fn truncate_sync(&self, path: &Path, len: u64) -> io::Result<()> {
@@ -353,25 +260,20 @@ fn syncfs_covering(_path: &Path) -> io::Result<()> {
     Err(io::Error::from(io::ErrorKind::Unsupported))
 }
 
-/// `<path>.tmp` — the staging name every atomic replace goes through.
-pub fn tmp_path(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_owned();
-    os.push(".tmp");
-    PathBuf::from(os)
-}
-
-#[cfg(unix)]
+/// Fsync the directory containing `path`, making a just-completed rename
+/// durable: until the directory inode is synced, a power loss can roll
+/// the entry back even though the file data itself was fsynced. Off
+/// unix, directory handles are not portably syncable; the rename stays
+/// atomic, just not guaranteed durable.
 fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    if !cfg!(unix) {
+        return Ok(());
+    }
     let parent = match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => p,
         _ => Path::new("."),
     };
     std::fs::File::open(parent)?.sync_all()
-}
-
-#[cfg(not(unix))]
-fn sync_parent_dir(_path: &Path) -> io::Result<()> {
-    Ok(())
 }
 
 /// Per-class storage-fault probabilities (all default 0, like
@@ -758,33 +660,6 @@ impl Vfs for FaultVfs {
             StorageFault::Enospc | StorageFault::None | StorageFault::Slow(_) => {
                 self.inner.read(path)
             }
-        }
-    }
-
-    fn append_sync(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        match self.decide(path, StorageOp::Append)? {
-            StorageFault::Eio => Err(eio("append")),
-            StorageFault::Enospc => Err(enospc("append")),
-            StorageFault::Torn(keep) => {
-                // A prefix reaches disk, then the write errors: the torn
-                // tail the caller must truncate away before retrying.
-                let _ = self
-                    .inner
-                    .append_sync(path, &bytes[..Self::keep_len(bytes, keep)]);
-                Err(eio("append torn mid-write"))
-            }
-            StorageFault::FsyncLie(keep) => {
-                // Success is reported, but the tail never hit the platter
-                // — and the device dies under the caller immediately
-                // after, so the lie is observed the only way it can be:
-                // as data missing after a crash.
-                let _ = self
-                    .inner
-                    .append_sync(path, &bytes[..Self::keep_len(bytes, keep)]);
-                self.mark_dead(path);
-                Ok(())
-            }
-            StorageFault::None | StorageFault::Slow(_) => self.inner.append_sync(path, bytes),
         }
     }
 
@@ -1214,6 +1089,13 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A bare file name has an empty parent; the directory fsync must
+    /// fall back to "." instead of erroring.
+    #[test]
+    fn sync_parent_dir_of_a_bare_name_syncs_the_cwd() {
+        sync_parent_dir(Path::new("bare.ckpt")).unwrap();
+    }
+
     #[test]
     fn real_vfs_truncate_creates_and_file_len_tolerates_missing() {
         let dir = tmp_dir("trunc");
@@ -1291,58 +1173,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The trait defaults route the deferred surface through the eager
-    /// methods, so a wrapper that only overrides the eager nine stages
-    /// nothing and `commit_atomic` finds no tmp to rename.
-    #[test]
-    fn eager_defaults_keep_wrapper_vfs_correct() {
-        #[derive(Debug)]
-        struct EagerOnly;
-        impl Vfs for EagerOnly {
-            fn create_dir_all(&self, p: &Path) -> io::Result<()> {
-                RealVfs.create_dir_all(p)
-            }
-            fn read(&self, p: &Path) -> io::Result<Vec<u8>> {
-                RealVfs.read(p)
-            }
-            fn append_sync(&self, p: &Path, b: &[u8]) -> io::Result<()> {
-                RealVfs.append_sync(p, b)
-            }
-            fn truncate_sync(&self, p: &Path, n: u64) -> io::Result<()> {
-                RealVfs.truncate_sync(p, n)
-            }
-            fn file_len(&self, p: &Path) -> io::Result<u64> {
-                RealVfs.file_len(p)
-            }
-            fn write_atomic(&self, p: &Path, b: &[u8]) -> io::Result<()> {
-                RealVfs.write_atomic(p, b)
-            }
-            fn remove_file(&self, p: &Path) -> io::Result<()> {
-                RealVfs.remove_file(p)
-            }
-            fn remove_dir_all(&self, p: &Path) -> io::Result<()> {
-                RealVfs.remove_dir_all(p)
-            }
-            fn exists(&self, p: &Path) -> bool {
-                RealVfs.exists(p)
-            }
-        }
-        let dir = tmp_dir("eager-default");
-        let p = dir.join("session.json");
-        EagerOnly.write_atomic_deferred(&p, b"doc").unwrap();
-        // Eager fallback already renamed: the doc is live, no tmp staged.
-        assert_eq!(std::fs::read(&p).unwrap(), b"doc");
-        assert!(!tmp_path(&p).exists());
-        EagerOnly.commit_atomic(&p).unwrap();
-        assert_eq!(std::fs::read(&p).unwrap(), b"doc");
-        EagerOnly.append_deferred(&p, b"+").unwrap();
-        for r in EagerOnly.sync_barrier(std::slice::from_ref(&p)) {
-            r.unwrap();
-        }
-        assert_eq!(std::fs::read(&p).unwrap(), b"doc+");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     /// A lying fsync drawn at stage time surfaces at the barrier: the
     /// sync *reports success* while the tail never landed, and the
     /// device then dies persistently — the staged replace must not be
@@ -1378,9 +1208,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Satellite: barrier-time syncs must book under the `SyncBarrier`
-    /// profiler phase, not `Fsync`, so the loadgen matrix can split
-    /// "per-write fsync" from "batched barrier" wall time. Runs under the
+    /// Barrier-time syncs must book under the `SyncBarrier` profiler
+    /// phase, not `Fsync`, so the loadgen matrix can split one-shot
+    /// fsyncs from batched-barrier wall time. Runs under the
     /// deterministic counting clock; per-thread rows isolate this test
     /// from concurrent tests in the same binary.
     #[test]
@@ -1394,7 +1224,9 @@ mod tests {
         for r in RealVfs.sync_barrier(std::slice::from_ref(&p)) {
             r.unwrap();
         }
-        RealVfs.append_sync(&p, b"eager\n").unwrap();
+        RealVfs
+            .write_atomic(&dir.join("session.json"), b"{}\n")
+            .unwrap();
         prof::set_enabled(false);
         let report = prof::snapshot();
         let me = std::thread::current().name().unwrap_or("main").to_string();
@@ -1415,7 +1247,7 @@ mod tests {
         let (fsync_n, fsync_ns) = total("fsync");
         assert!(barrier_n >= 1, "barrier sync must record a span");
         assert!(barrier_ns > 0, "counting clock must advance inside it");
-        assert!(fsync_n >= 1, "eager append still books under fsync");
+        assert!(fsync_n >= 1, "a one-shot atomic replace books under fsync");
         assert!(fsync_ns > 0);
         prof::set_monotonic_clock();
         std::fs::remove_dir_all(&dir).unwrap();

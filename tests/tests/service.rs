@@ -17,12 +17,15 @@
 //! the parser.
 
 use mwrepair::VariantChoice;
+use mwrepair_service::session::ScenarioData;
 use mwrepair_service::{
-    encode_line, parse_jobs, parse_line, BudgetSpec, Daemon, DaemonConfig, DaemonSummary, JobLine,
-    JobSpec, ProtocolError, ScenarioSpec,
+    commit_epoch, encode_line, parse_jobs, parse_line, BudgetSpec, Daemon, DaemonConfig,
+    DaemonSummary, JobLine, JobSpec, ProtocolError, RealVfs, ScenarioSpec, SessionRunner, Vfs,
 };
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// All tests sweep `rayon::with_max_threads(1..=8)`, so the shared pool
 /// must be sized once at the largest count (the container may report a
@@ -652,13 +655,67 @@ fn profiling_on_vs_off_leaves_every_byte_identical() {
 }
 
 // ---------------------------------------------------------------------------
-// Group commit: eager mode is byte-identical, and crash points *inside* a
-// commit epoch (staged-but-unsynced appends, staged-but-unpublished
-// checkpoint replaces, lost renames) all resume byte-identically.
+// Group commit: a barrier per write (standalone runners committing an
+// epoch of one after every slice) writes the same bytes as the daemon's
+// barrier per round, and crash points *inside* a commit epoch
+// (staged-but-unsynced appends, staged-but-unpublished checkpoint
+// replaces, lost renames) all resume byte-identically.
 // ---------------------------------------------------------------------------
 
+/// Forwards to the real filesystem, counting batched barriers and the
+/// paths handed to them.
+#[derive(Debug, Default)]
+struct CountingVfs {
+    barriers: AtomicU64,
+    paths: AtomicU64,
+}
+
+impl Vfs for CountingVfs {
+    fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
+        RealVfs.create_dir_all(path)
+    }
+    fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+        RealVfs.read(path)
+    }
+    fn truncate_sync(&self, path: &Path, len: u64) -> std::io::Result<()> {
+        RealVfs.truncate_sync(path, len)
+    }
+    fn file_len(&self, path: &Path) -> std::io::Result<u64> {
+        RealVfs.file_len(path)
+    }
+    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        RealVfs.write_atomic(path, bytes)
+    }
+    fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+        RealVfs.remove_file(path)
+    }
+    fn remove_dir_all(&self, path: &Path) -> std::io::Result<()> {
+        RealVfs.remove_dir_all(path)
+    }
+    fn exists(&self, path: &Path) -> bool {
+        RealVfs.exists(path)
+    }
+    fn append_deferred(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        RealVfs.append_deferred(path, bytes)
+    }
+    fn write_atomic_deferred(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        RealVfs.write_atomic_deferred(path, bytes)
+    }
+    fn sync_file(&self, path: &Path) -> std::io::Result<()> {
+        RealVfs.sync_file(path)
+    }
+    fn commit_atomic(&self, path: &Path) -> std::io::Result<()> {
+        RealVfs.commit_atomic(path)
+    }
+    fn sync_barrier(&self, paths: &[PathBuf]) -> Vec<std::io::Result<()>> {
+        self.barriers.fetch_add(1, Ordering::Relaxed);
+        self.paths.fetch_add(paths.len() as u64, Ordering::Relaxed);
+        RealVfs.sync_barrier(paths)
+    }
+}
+
 #[test]
-fn eager_sync_matches_group_commit_and_zeroes_barrier_metrics() {
+fn barrier_per_write_matches_barrier_per_round() {
     ensure_pool();
     const SLICE: usize = 4;
     let jobs: Vec<JobSpec> = (0..10u64)
@@ -670,41 +727,61 @@ fn eager_sync_matches_group_commit_and_zeroes_barrier_metrics() {
         .collect();
     let bytes = batch(&jobs, &[]);
 
-    // Default mode: group commit. The barrier must actually batch.
-    let gc_dir = tmp_dir("mode-gc");
-    let gc = run_daemon(&gc_dir, &bytes, SLICE, None, 8);
-    assert_eq!(gc.completed, jobs.len());
-    assert!(gc.io_syncs_batched > 0, "group commit must batch syncs");
-    assert!(gc.sync_barrier.count > 0, "barrier latency must be sampled");
-    assert!(!gc.sync_barrier.is_zero());
-
-    // Eager mode: per-write fsyncs, and the batching metrics stay zero.
-    let eager_dir = tmp_dir("mode-eager");
-    let mut config = DaemonConfig::new(&eager_dir);
-    config.slice_iterations = SLICE;
-    config.quiet = true;
-    config.group_commit = false;
-    let mut daemon = Daemon::open(config).expect("open daemon");
-    daemon.submit_bytes(&bytes).expect("submit batch");
-    let eager = rayon::with_max_threads(8, || daemon.run()).expect("daemon run");
-    assert_eq!(eager.completed, jobs.len());
-    assert_eq!(eager.io_syncs_batched, 0, "eager mode must not batch");
-    assert!(
-        eager.sync_barrier.is_zero(),
-        "eager mode must record no barrier samples: {:?}",
-        eager.sync_barrier
-    );
-
+    // Barrier per write: every job as a standalone runner that commits
+    // an epoch of one after each slice.
+    let solo_dir = tmp_dir("barrier-per-write");
+    let mut solo_paths = 0;
     for j in &jobs {
-        assert_eq!(
-            session_bytes(&gc_dir, &j.tenant, &j.id),
-            session_bytes(&eager_dir, &j.tenant, &j.id),
-            "group commit changed artifact bytes of {}",
-            j.id
-        );
+        let scenario = j.scenario.build().expect("scenario builds");
+        let pool = scenario.build_pool(1, None);
+        let data = Arc::new(ScenarioData { scenario, pool });
+        let mut s = SessionRunner::open(j.clone(), data, &solo_dir).expect("open session");
+        while s.is_active() {
+            s.run_slice(SLICE);
+            let (paths, _ms) = commit_epoch(std::slice::from_mut(&mut s)).expect("staged slice");
+            solo_paths += paths;
+            assert!(s.take_error().is_none(), "{} failed", j.id);
+        }
     }
-    std::fs::remove_dir_all(&gc_dir).unwrap();
-    std::fs::remove_dir_all(&eager_dir).unwrap();
+
+    // Barrier per round: the daemon, at several thread counts.
+    for threads in [1usize, 4, 8] {
+        let dir = tmp_dir(&format!("barrier-per-round-{threads}"));
+        let vfs = Arc::new(CountingVfs::default());
+        let mut config = DaemonConfig::new(&dir);
+        config.slice_iterations = SLICE;
+        config.quiet = true;
+        config.vfs = Arc::clone(&vfs) as Arc<dyn Vfs>;
+        let mut daemon = Daemon::open(config).expect("open daemon");
+        daemon.submit_bytes(&bytes).expect("submit batch");
+        let summary = rayon::with_max_threads(threads, || daemon.run()).expect("daemon run");
+        assert_eq!(summary.completed, jobs.len());
+        assert!(
+            summary.io_syncs_batched > 0,
+            "group commit must batch syncs"
+        );
+        assert!(summary.sync_barrier.count > 0, "barrier latency sampled");
+        // Every path counted as batched was handed to a barrier, and the
+        // barriers are the rounds' plus the end-of-run flush.
+        assert_eq!(summary.io_syncs_batched, vfs.paths.load(Ordering::Relaxed));
+        assert_eq!(
+            summary.sync_barrier.count,
+            vfs.barriers.load(Ordering::Relaxed)
+        );
+        assert_eq!(summary.sync_barrier.count, summary.rounds + 1);
+        // The same staged paths, batched per round instead of per write.
+        assert_eq!(summary.io_syncs_batched, solo_paths as u64 + 1);
+        for j in &jobs {
+            assert_eq!(
+                session_bytes(&dir, &j.tenant, &j.id),
+                session_bytes(&solo_dir, &j.tenant, &j.id),
+                "barrier per round changed artifact bytes of {} at {threads} threads",
+                j.id
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    std::fs::remove_dir_all(&solo_dir).unwrap();
 }
 
 #[test]

@@ -338,10 +338,6 @@ impl Vfs for PanicVfs {
     fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
         self.inner.read(path)
     }
-    fn append_sync(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-        self.trip(path);
-        self.inner.append_sync(path, bytes)
-    }
     fn truncate_sync(&self, path: &Path, len: u64) -> std::io::Result<()> {
         self.inner.truncate_sync(path, len)
     }
@@ -359,6 +355,22 @@ impl Vfs for PanicVfs {
     }
     fn exists(&self, path: &Path) -> bool {
         self.inner.exists(path)
+    }
+    fn append_deferred(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        self.trip(path);
+        self.inner.append_deferred(path, bytes)
+    }
+    fn write_atomic_deferred(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        self.inner.write_atomic_deferred(path, bytes)
+    }
+    fn sync_file(&self, path: &Path) -> std::io::Result<()> {
+        self.inner.sync_file(path)
+    }
+    fn commit_atomic(&self, path: &Path) -> std::io::Result<()> {
+        self.inner.commit_atomic(path)
+    }
+    fn sync_barrier(&self, paths: &[PathBuf]) -> Vec<std::io::Result<()>> {
+        self.inner.sync_barrier(paths)
     }
 }
 
@@ -446,10 +458,6 @@ impl Vfs for FailVictimWrites {
     fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
         self.inner.read(path)
     }
-    fn append_sync(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-        self.gate(path)?;
-        self.inner.append_sync(path, bytes)
-    }
     fn truncate_sync(&self, path: &Path, len: u64) -> std::io::Result<()> {
         self.inner.truncate_sync(path, len)
     }
@@ -468,6 +476,23 @@ impl Vfs for FailVictimWrites {
     }
     fn exists(&self, path: &Path) -> bool {
         self.inner.exists(path)
+    }
+    fn append_deferred(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        self.gate(path)?;
+        self.inner.append_deferred(path, bytes)
+    }
+    fn write_atomic_deferred(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        self.gate(path)?;
+        self.inner.write_atomic_deferred(path, bytes)
+    }
+    fn sync_file(&self, path: &Path) -> std::io::Result<()> {
+        self.inner.sync_file(path)
+    }
+    fn commit_atomic(&self, path: &Path) -> std::io::Result<()> {
+        self.inner.commit_atomic(path)
+    }
+    fn sync_barrier(&self, paths: &[PathBuf]) -> Vec<std::io::Result<()>> {
+        self.inner.sync_barrier(paths)
     }
 }
 
