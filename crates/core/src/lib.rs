@@ -98,8 +98,7 @@ pub use schedule::LearningRate;
 pub use slate::{SlateConfig, SlateMwu};
 pub use standard::{StandardConfig, StandardMwu};
 pub use trace::{
-    FaultEvent, JsonlSink, MetricsSink, NullObserver, Observer, ProgressSink, StorageEvent, Tee,
-    TraceEvent,
+    FaultEvent, JsonlSink, NullObserver, Observer, ProgressSink, StorageEvent, Tee, TraceEvent,
 };
 pub use weights::WeightVector;
 
@@ -261,7 +260,7 @@ pub mod prelude {
     pub use crate::run::{run_to_convergence, run_to_convergence_observed, RunConfig, RunOutcome};
     pub use crate::slate::{SlateConfig, SlateMwu};
     pub use crate::standard::{StandardConfig, StandardMwu};
-    pub use crate::trace::{JsonlSink, MetricsSink, NullObserver, Observer, TraceEvent};
+    pub use crate::trace::{JsonlSink, NullObserver, Observer, TraceEvent};
     pub use crate::weights::WeightVector;
     pub use crate::{CommStats, MwuAlgorithm};
 }

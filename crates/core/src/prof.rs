@@ -36,12 +36,12 @@
 //!
 //! ## Clocks
 //!
+//! This registry is the workspace's one source of wall-clock telemetry:
+//! deterministic events ([`crate::trace`]) carry no time at all.
 //! Production uses the monotonic [`std::time::Instant`] clock. Tests install
 //! a deterministic counting clock ([`set_counting_clock`]) whose reads
 //! return `step, 2·step, 3·step, …` on each thread, making span durations
-//! exactly assertable on the thread that recorded them. [`Clock`] is the
-//! per-instance form of the same abstraction, used by
-//! [`crate::trace::MetricsSink`] for its latency histogram.
+//! exactly assertable on the thread that recorded them.
 
 use crate::stats::Histogram;
 use serde::Serialize;
@@ -250,73 +250,6 @@ pub fn clock_name() -> &'static str {
         "counting"
     } else {
         "monotonic"
-    }
-}
-
-/// A per-instance clock sharing the profiler's two modes — the injectable
-/// form used by [`crate::trace::MetricsSink`] so latency histograms are
-/// exactly assertable in tests.
-///
-/// Unlike the profiler's global clock, every `Clock` value owns its state:
-/// a monotonic clock reads elapsed time since its construction, a counting
-/// clock owns its tick counter.
-#[derive(Debug)]
-pub struct Clock {
-    counting_step: Option<u64>,
-    ticks: AtomicU64,
-    epoch: Instant,
-}
-
-impl Clock {
-    /// Production clock: [`Instant`]-based, nanoseconds since construction.
-    pub fn monotonic() -> Self {
-        Clock {
-            counting_step: None,
-            ticks: AtomicU64::new(0),
-            epoch: Instant::now(),
-        }
-    }
-
-    /// Deterministic clock whose reads return `step_ns, 2·step_ns, …`.
-    pub fn counting(step_ns: u64) -> Self {
-        Clock {
-            counting_step: Some(step_ns.max(1)),
-            ticks: AtomicU64::new(0),
-            epoch: Instant::now(),
-        }
-    }
-
-    /// Read the clock, in nanoseconds.
-    pub fn now_ns(&self) -> u64 {
-        match self.counting_step {
-            Some(step) => self.ticks.fetch_add(step, Ordering::Relaxed) + step,
-            None => self.epoch.elapsed().as_nanos() as u64,
-        }
-    }
-
-    /// `"monotonic"` or `"counting"`.
-    pub fn name(&self) -> &'static str {
-        if self.counting_step.is_some() {
-            "counting"
-        } else {
-            "monotonic"
-        }
-    }
-}
-
-impl Default for Clock {
-    fn default() -> Self {
-        Clock::monotonic()
-    }
-}
-
-impl Clone for Clock {
-    fn clone(&self) -> Self {
-        Clock {
-            counting_step: self.counting_step,
-            ticks: AtomicU64::new(self.ticks.load(Ordering::Relaxed)),
-            epoch: self.epoch,
-        }
     }
 }
 
@@ -816,18 +749,5 @@ mod tests {
             assert!(seen.insert(p.name()), "duplicate phase name {}", p.name());
         }
         assert_eq!(seen.len(), NUM_PHASES);
-    }
-
-    #[test]
-    fn clock_value_type_is_assertable() {
-        let c = Clock::counting(5);
-        assert_eq!(c.now_ns(), 5);
-        assert_eq!(c.now_ns(), 10);
-        assert_eq!(c.name(), "counting");
-        let m = Clock::monotonic();
-        assert_eq!(m.name(), "monotonic");
-        let a = m.now_ns();
-        let b = m.now_ns();
-        assert!(b >= a);
     }
 }

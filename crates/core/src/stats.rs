@@ -4,6 +4,8 @@
 //! (algorithm, scenario) cell. [`RunningStats`] accumulates those summaries
 //! in one pass (Welford's algorithm, numerically stable), and [`Summary`] is
 //! the serializable snapshot the experiment harness writes to CSV.
+//! [`Histogram`] is the mergeable latency histogram behind the
+//! [`crate::prof`] registry's per-phase p50/p99.
 
 use serde::{Deserialize, Serialize};
 
@@ -152,41 +154,6 @@ impl Summary {
     }
 }
 
-/// A mergeable monotone event counter, the unit of [`crate::trace::MetricsSink`]
-/// aggregation. Counts are conserved under [`Counter::merge`]:
-/// `a.merge(b)` leaves `a.get() == a_before + b`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter {
-    count: u64,
-}
-
-impl Counter {
-    /// Zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Increment by one.
-    pub fn incr(&mut self) {
-        self.count += 1;
-    }
-
-    /// Increment by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.count += n;
-    }
-
-    /// Current count.
-    pub fn get(&self) -> u64 {
-        self.count
-    }
-
-    /// Fold another counter into this one (parallel reduction).
-    pub fn merge(&mut self, other: &Counter) {
-        self.count += other.count;
-    }
-}
-
 /// Number of log₂ buckets in a [`Histogram`]: one per binary exponent in
 /// `[-32, 31]`, so positive magnitudes from `2⁻³²` to `2³²` land in distinct
 /// buckets and everything outside clamps to the edge buckets.
@@ -260,12 +227,6 @@ impl Histogram {
     /// Total observations recorded.
     pub fn count(&self) -> u64 {
         self.stats.count()
-    }
-
-    /// True when nothing has been recorded — the case where
-    /// [`Histogram::quantile`] would return an ambiguous `0.0`.
-    pub fn is_empty(&self) -> bool {
-        self.count() == 0
     }
 
     /// Exact moments of everything recorded.
@@ -402,17 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn counter_merge_conserves_counts() {
-        let mut a = Counter::new();
-        a.incr();
-        a.add(4);
-        let mut b = Counter::new();
-        b.add(7);
-        a.merge(&b);
-        assert_eq!(a.get(), 12);
-    }
-
-    #[test]
     fn histogram_counts_and_moments() {
         let mut h = Histogram::new();
         for x in [0.5, 1.0, 2.0, 4.0, 0.0, -1.0] {
@@ -467,12 +417,12 @@ mod tests {
     #[test]
     fn empty_histogram_is_distinguishable_from_zero() {
         let empty = Histogram::new();
-        assert!(empty.is_empty());
+        assert_eq!(empty.count(), 0);
         assert_eq!(empty.try_quantile(0.5), None);
 
         let mut zeros = Histogram::new();
         zeros.record(0.0);
-        assert!(!zeros.is_empty());
+        assert_eq!(zeros.count(), 1);
         assert_eq!(zeros.try_quantile(0.5), Some(0.0));
         assert_eq!(zeros.quantile(0.5), 0.0);
     }

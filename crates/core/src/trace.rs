@@ -1,4 +1,11 @@
-//! Run telemetry: a zero-overhead-when-disabled observer pipeline.
+//! Run events: the deterministic half of the workspace's telemetry.
+//!
+//! Telemetry has two concepts. *Events* — this module — are deterministic,
+//! ride the bit-identity path and are written as JSONL: no event carries a
+//! wall-clock field, so two runs with the same seed emit byte-identical
+//! traces. *Metrics* — span durations, counts and latency histograms — are
+//! wall-clock, non-deterministic, and live in one registry,
+//! [`crate::prof`]; nothing in this module reads a clock.
 //!
 //! Every driver in this workspace — [`crate::run::run_to_convergence`],
 //! [`crate::regret::run_with_regret`], the `mwrepair` online phase, and the
@@ -9,25 +16,17 @@
 //! pre-telemetry loop: no event construction, no `probabilities()` clones,
 //! no entropy computation.
 //!
-//! Three sinks cover the common uses:
+//! Two sinks cover the common uses:
 //!
-//! * [`JsonlSink`] — one JSON event per line. Event payloads contain no
-//!   wall-clock fields, so two runs with the same seed emit byte-identical
-//!   traces (locked down by `tests/tests/telemetry.rs`). Each
-//!   [`TraceEvent::Replicate`] header carries the replicate's derived
-//!   `run_seed` and `max_iterations`, which is everything needed to re-run
-//!   that replicate alone.
-//! * [`MetricsSink`] — counters and streaming histograms
-//!   ([`crate::stats::Counter`], [`crate::stats::Histogram`]) of iteration
-//!   latency (measured by the sink's own clock, deliberately outside the
-//!   event payloads), reward, and per-round congestion.
+//! * [`JsonlSink`] — one JSON event per line (byte-identity locked down by
+//!   `tests/tests/telemetry.rs`). Each [`TraceEvent::Replicate`] header
+//!   carries the replicate's derived `run_seed` and `max_iterations`, which
+//!   is everything needed to re-run that replicate alone.
 //! * [`ProgressSink`] — human-oriented stderr narration of grid progress,
 //!   replacing the ad-hoc `eprintln!` calls the grid runner used to hold.
 //!
 //! [`Tee`] composes two observers (e.g. a trace file plus progress lines).
 
-use crate::prof::Clock;
-use crate::stats::{Counter, Histogram};
 use crate::{CommStats, RunOutcome};
 use serde::{Deserialize, Serialize};
 use std::io::Write;
@@ -215,9 +214,14 @@ impl FaultEvent {
 /// Storage-health counters from a daemon run (the telemetry-side mirror
 /// of `mwrepair-service`'s retry/quarantine accounting — defined here,
 /// like [`FaultEvent`], because the service crate sits above mwu-core in
-/// the dependency graph; the bridge lives in the composing layer, e.g.
-/// the `mwrepaird` binary). All three are zero in a fault-free run on a
+/// the dependency graph). All three are zero in a fault-free run on a
 /// healthy disk.
+///
+/// Nothing produces this event: `mwrepaird` reports the same three
+/// counters in its `DaemonSummary` (stdout and `metrics.json`), not
+/// through an observer. The type, [`TraceEvent::Storage`] and
+/// [`Observer::on_storage`] stay only because `perfbench`'s timing
+/// observer implements every [`Observer`] method.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StorageEvent {
     /// Storage operations retried after a transient failure.
@@ -656,155 +660,6 @@ impl<W: Write> Observer for JsonlSink<W> {
     }
 }
 
-/// Counters and streaming histograms over an event stream.
-///
-/// Iteration latency is measured by the sink's own clock (time between
-/// consecutive `on_iteration` calls), deliberately **not** from the events —
-/// event payloads stay wall-clock-free so traces are reproducible, while
-/// metrics still capture real timing.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsSink {
-    /// Observed runs started.
-    pub runs: Counter,
-    /// Update cycles observed.
-    pub iterations: Counter,
-    /// Convergence events observed.
-    pub convergences: Counter,
-    /// `mwrepair` probes observed.
-    pub probes: Counter,
-    /// Repairs observed.
-    pub repairs: Counter,
-    /// Total injected faults observed (sum of [`FaultEvent::total`]).
-    pub faults: Counter,
-    /// Gossip retransmissions observed (dropped messages re-sent with
-    /// backoff).
-    pub retries: Counter,
-    /// Messages abandoned after the retry cap.
-    pub retries_exhausted: Counter,
-    /// Storage operations retried after transient failures (daemon runs;
-    /// zero on a healthy disk).
-    pub io_retries: Counter,
-    /// Storage faults injected by a fault adversary (zero on a real disk).
-    pub io_faults_injected: Counter,
-    /// Sessions quarantined behind durable post-mortems.
-    pub sessions_quarantined: Counter,
-    /// Per-cycle latency in seconds (sink-clock; empty if the sink never
-    /// saw two consecutive iterations).
-    pub iteration_latency: Histogram,
-    /// Per-cycle mean reward.
-    pub reward: Histogram,
-    /// Per-cycle communication congestion (the [`CommDelta`] congestion
-    /// sum).
-    pub congestion: Histogram,
-    clock: Clock,
-    last_tick_ns: Option<u64>,
-}
-
-impl MetricsSink {
-    /// Empty sink with the production monotonic clock.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Empty sink measuring latency with the given [`Clock`] — pass
-    /// [`Clock::counting`] in tests to make the latency histogram exactly
-    /// assertable instead of only shape-checkable.
-    pub fn with_clock(clock: Clock) -> Self {
-        MetricsSink {
-            clock,
-            ..Self::default()
-        }
-    }
-
-    /// Fold another sink's aggregates into this one (counts conserved,
-    /// histograms merged bucket-wise).
-    pub fn merge(&mut self, other: &MetricsSink) {
-        self.runs.merge(&other.runs);
-        self.iterations.merge(&other.iterations);
-        self.convergences.merge(&other.convergences);
-        self.probes.merge(&other.probes);
-        self.repairs.merge(&other.repairs);
-        self.faults.merge(&other.faults);
-        self.retries.merge(&other.retries);
-        self.retries_exhausted.merge(&other.retries_exhausted);
-        self.io_retries.merge(&other.io_retries);
-        self.io_faults_injected.merge(&other.io_faults_injected);
-        self.sessions_quarantined.merge(&other.sessions_quarantined);
-        self.iteration_latency.merge(&other.iteration_latency);
-        self.reward.merge(&other.reward);
-        self.congestion.merge(&other.congestion);
-    }
-
-    /// One-line human summary of the aggregates.
-    pub fn report(&self) -> String {
-        format!(
-            "runs={} iterations={} convergences={} probes={} repairs={} \
-             faults={} retries={} retries_exhausted={} \
-             io_retries={} io_faults_injected={} sessions_quarantined={} \
-             reward_mean={:.4} congestion_p99={:.1} latency_p50={}",
-            self.runs.get(),
-            self.iterations.get(),
-            self.convergences.get(),
-            self.probes.get(),
-            self.repairs.get(),
-            self.faults.get(),
-            self.retries.get(),
-            self.retries_exhausted.get(),
-            self.io_retries.get(),
-            self.io_faults_injected.get(),
-            self.sessions_quarantined.get(),
-            self.reward.stats().mean(),
-            self.congestion.quantile(0.99),
-            // "n/a" when no two consecutive iterations were timed — an
-            // empty histogram's quantile would print as a misleading 0.0s.
-            match self.iteration_latency.try_quantile(0.5) {
-                Some(p50) => format!("{p50:.6}s"),
-                None => "n/a".to_owned(),
-            },
-        )
-    }
-}
-
-impl Observer for MetricsSink {
-    fn on_run_start(&mut self, _e: RunStartEvent) {
-        self.runs.incr();
-        self.last_tick_ns = None;
-    }
-
-    fn on_iteration(&mut self, e: IterationEvent) {
-        self.iterations.incr();
-        self.probes.add(e.reward.probes as u64);
-        self.reward.record(e.reward.mean);
-        self.congestion.record(e.comm.congestion as f64);
-        let now_ns = self.clock.now_ns();
-        if let Some(prev_ns) = self.last_tick_ns {
-            self.iteration_latency
-                .record(now_ns.saturating_sub(prev_ns) as f64 * 1e-9);
-        }
-        self.last_tick_ns = Some(now_ns);
-    }
-
-    fn on_convergence(&mut self, _e: ConvergenceEvent) {
-        self.convergences.incr();
-    }
-
-    fn on_repair(&mut self, _e: RepairEvent) {
-        self.repairs.incr();
-    }
-
-    fn on_faults(&mut self, e: FaultEvent) {
-        self.faults.add(e.total());
-        self.retries.add(e.retried);
-        self.retries_exhausted.add(e.retry_exhausted);
-    }
-
-    fn on_storage(&mut self, e: StorageEvent) {
-        self.io_retries.add(e.io_retries);
-        self.io_faults_injected.add(e.io_faults_injected);
-        self.sessions_quarantined.add(e.sessions_quarantined);
-    }
-}
-
 /// Stderr narration of grid progress — the observer-pipeline replacement
 /// for the `eprintln!` calls previously hard-coded into the grid runner.
 #[derive(Debug, Clone, Default)]
@@ -875,6 +730,23 @@ mod tests {
         }
     }
 
+    /// Counts iterations and injected faults — the smallest aggregating
+    /// observer.
+    #[derive(Default)]
+    struct Count {
+        iterations: u64,
+        faults: u64,
+    }
+
+    impl Observer for Count {
+        fn on_iteration(&mut self, _: IterationEvent) {
+            self.iterations += 1;
+        }
+        fn on_faults(&mut self, e: FaultEvent) {
+            self.faults += e.total();
+        }
+    }
+
     #[test]
     fn entropy_of_point_mass_is_zero() {
         assert_eq!(entropy(&[1.0, 0.0, 0.0]), 0.0);
@@ -895,6 +767,119 @@ mod tests {
     #[test]
     fn null_observer_is_disabled() {
         assert!(!NullObserver.enabled());
+    }
+
+    #[test]
+    fn option_none_is_disabled() {
+        assert!(!None::<Count>.enabled());
+        assert!(Some(Count::default()).enabled());
+        assert!(!Some(NullObserver).enabled());
+    }
+
+    #[test]
+    fn progress_sink_quiet_is_disabled() {
+        assert!(ProgressSink::new().enabled());
+        assert!(ProgressSink::quiet(false).enabled());
+        assert!(!ProgressSink::quiet(true).enabled());
+    }
+
+    #[test]
+    fn every_method_forwards_through_tee_option_and_ref() {
+        // Each `on_*` method must reach `on_event` as its own variant
+        // through every delegating impl: `Tee`, `Option` and `&mut`.
+        #[derive(Default)]
+        struct Record(Vec<TraceEvent>);
+        impl Observer for Record {
+            fn on_event(&mut self, event: &TraceEvent) {
+                self.0.push(event.clone());
+            }
+        }
+        let outcome = RunOutcome {
+            algorithm: "standard",
+            iterations: 2,
+            converged: true,
+            leader: 1,
+            leader_share: 0.9,
+            cpu_iterations: 4,
+            pulls: 4,
+            comm: CommStats::default(),
+            cpus_per_iteration: 2,
+        };
+        let events = vec![
+            TraceEvent::RunStart(RunStartEvent {
+                algorithm: "standard",
+                num_arms: 2,
+                cpus_per_iteration: 2,
+                seed: 1,
+                max_iterations: 10,
+            }),
+            TraceEvent::Iteration(iteration_event(1)),
+            TraceEvent::Convergence(ConvergenceEvent {
+                iteration: 2,
+                leader: 1,
+                leader_share: 0.9,
+            }),
+            TraceEvent::RunEnd(outcome.clone()),
+            TraceEvent::Probe(ProbeEvent {
+                iteration: 1,
+                agent: 0,
+                composition_size: 3,
+                survived: true,
+                reward: 1.0,
+            }),
+            TraceEvent::Repair(RepairEvent {
+                iteration: 1,
+                agent: 0,
+                composition_size: 3,
+            }),
+            TraceEvent::Faults(FaultEvent {
+                dropped: 1,
+                ..FaultEvent::default()
+            }),
+            TraceEvent::Storage(StorageEvent {
+                io_retries: 1,
+                ..StorageEvent::default()
+            }),
+            TraceEvent::CellStart(CellStartEvent {
+                algorithm: "standard".into(),
+                dataset: "d".into(),
+                size: 2,
+                replicates: 1,
+            }),
+            TraceEvent::Replicate(ReplicateEvent {
+                algorithm: "standard".into(),
+                dataset: "d".into(),
+                replicate: 0,
+                run_seed: 7,
+                max_iterations: 10,
+                outcome,
+            }),
+            TraceEvent::CellEnd(CellEndEvent {
+                algorithm: "standard".into(),
+                dataset: "d".into(),
+                converged: 1,
+                replicates: 1,
+                intractable: false,
+            }),
+        ];
+        let mut record = Record::default();
+        let mut obs = Tee(Some(&mut record), NullObserver);
+        for event in events.clone() {
+            match event {
+                TraceEvent::RunStart(e) => obs.on_run_start(e),
+                TraceEvent::Iteration(e) => obs.on_iteration(e),
+                TraceEvent::Convergence(e) => obs.on_convergence(e),
+                TraceEvent::RunEnd(o) => obs.on_run_end(o),
+                TraceEvent::Probe(e) => obs.on_probe(e),
+                TraceEvent::Repair(e) => obs.on_repair(e),
+                TraceEvent::Faults(e) => obs.on_faults(e),
+                TraceEvent::Storage(e) => obs.on_storage(e),
+                TraceEvent::CellStart(e) => obs.on_cell_start(e),
+                TraceEvent::Replicate(e) => obs.on_replicate(e),
+                TraceEvent::CellEnd(e) => obs.on_cell_end(e),
+            }
+        }
+        assert_eq!(record.0, events);
     }
 
     #[test]
@@ -920,58 +905,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_sink_aggregates_and_merges() {
-        let mut a = MetricsSink::new();
-        a.on_run_start(RunStartEvent {
-            algorithm: "standard",
-            num_arms: 2,
-            cpus_per_iteration: 2,
-            seed: 1,
-            max_iterations: 10,
-        });
-        a.on_iteration(iteration_event(1));
-        a.on_iteration(iteration_event(2));
-        a.on_convergence(ConvergenceEvent {
-            iteration: 2,
-            leader: 1,
-            leader_share: 0.99,
-        });
-        let mut b = MetricsSink::new();
-        b.on_iteration(iteration_event(1));
-        a.merge(&b);
-        assert_eq!(a.runs.get(), 1);
-        assert_eq!(a.iterations.get(), 3);
-        assert_eq!(a.convergences.get(), 1);
-        assert_eq!(a.probes.get(), 6);
-        assert_eq!(a.reward.count(), 3);
-        assert!(!a.report().is_empty());
-    }
-
-    #[test]
-    fn counting_clock_makes_latency_exact() {
-        // With a counting clock ticking 1 ms per read, iteration N+1 lands
-        // exactly 1 ms after iteration N — the histogram holds exact values,
-        // not merely a plausible shape.
-        let mut sink = MetricsSink::with_clock(Clock::counting(1_000_000));
-        for i in 1..=4 {
-            sink.on_iteration(iteration_event(i));
-        }
-        assert_eq!(sink.iteration_latency.count(), 3);
-        assert!((sink.iteration_latency.stats().mean() - 1e-3).abs() < 1e-12);
-        assert!((sink.iteration_latency.stats().min() - 1e-3).abs() < 1e-12);
-        assert!((sink.iteration_latency.stats().max() - 1e-3).abs() < 1e-12);
-        assert!(sink.report().contains("latency_p50="));
-    }
-
-    #[test]
-    fn empty_latency_reports_not_applicable() {
-        let mut sink = MetricsSink::new();
-        sink.on_iteration(iteration_event(1)); // one tick: no interval yet
-        assert!(sink.iteration_latency.is_empty());
-        assert!(sink.report().contains("latency_p50=n/a"));
-    }
-
-    #[test]
     fn fault_events_reach_metrics_and_jsonl() {
         let fe = FaultEvent {
             round: 3,
@@ -985,16 +918,10 @@ mod tests {
         };
         assert_eq!(fe.total(), 15);
 
-        let mut metrics = MetricsSink::new();
-        metrics.on_faults(fe);
-        assert_eq!(metrics.faults.get(), 15);
-        assert_eq!(metrics.retries.get(), 4);
-        assert_eq!(metrics.retries_exhausted.get(), 1);
-        assert!(metrics.report().contains("retries=4"));
-
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.on_faults(fe);
-        let text = String::from_utf8(sink.into_inner()).unwrap();
+        let mut tee = Tee(Count::default(), JsonlSink::new(Vec::new()));
+        tee.on_faults(fe);
+        assert_eq!(tee.0.faults, 15);
+        let text = String::from_utf8(tee.1.into_inner()).unwrap();
         assert!(text.starts_with("{\"Faults\":"));
         let ev = TraceEvent::from_value(&serde::json::parse(text.trim()).unwrap()).unwrap();
         assert_eq!(ev, TraceEvent::Faults(fe));
@@ -1002,10 +929,10 @@ mod tests {
 
     #[test]
     fn tee_reaches_both_sides() {
-        let mut tee = Tee(MetricsSink::new(), MetricsSink::new());
+        let mut tee = Tee(Count::default(), Count::default());
         tee.on_iteration(iteration_event(1));
-        assert_eq!(tee.0.iterations.get(), 1);
-        assert_eq!(tee.1.iterations.get(), 1);
+        assert_eq!(tee.0.iterations, 1);
+        assert_eq!(tee.1.iterations, 1);
         assert!(tee.enabled());
         assert!(!Tee(NullObserver, NullObserver).enabled());
     }
@@ -1024,7 +951,7 @@ mod tests {
                 panic!("disabled observer received an event");
             }
         }
-        let mut tee = Tee(MetricsSink::new(), Panicky);
+        let mut tee = Tee(Count::default(), Panicky);
         assert!(tee.enabled());
         tee.on_iteration(iteration_event(1));
         tee.on_cell_start(CellStartEvent {
@@ -1033,6 +960,6 @@ mod tests {
             size: 2,
             replicates: 1,
         });
-        assert_eq!(tee.0.iterations.get(), 1);
+        assert_eq!(tee.0.iterations, 1);
     }
 }

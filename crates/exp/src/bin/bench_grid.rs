@@ -1,4 +1,4 @@
-//! Wall-clock scaling of the experiment grid: times every `table2` cell at
+//! Wall-clock scaling of the experiment grid: times every Table II cell at
 //! 1/2/4/8 threads inside one process and writes `BENCH_grid.json`.
 //!
 //! The pool is sized once at the largest measured count and each sweep runs

@@ -13,24 +13,7 @@
 
 use mwu_core::cost::prob_worst_case_hit;
 use mwu_experiments::{render_table, write_results_csv, CommonArgs};
-use simnet::{RoundEvent, RoundObserver, SyncMode, ThreadPool};
-use std::time::Duration;
-
-/// Accumulates per-round barrier stall from the executor's telemetry.
-#[derive(Default)]
-struct StallStats {
-    total: Duration,
-    worst: Duration,
-    rounds: u32,
-}
-
-impl RoundObserver for StallStats {
-    fn on_round(&mut self, event: RoundEvent) {
-        self.total += event.stall;
-        self.worst = self.worst.max(event.stall);
-        self.rounds += 1;
-    }
-}
+use simnet::{SyncMode, ThreadPool};
 
 fn main() {
     let args = CommonArgs::from_env();
@@ -62,8 +45,7 @@ fn main() {
         let micros = 10 + h % 991;
         simnet::executor::spin_for_micros(micros);
     };
-    let mut stalls = StallStats::default();
-    let barrier = pool.run_rounds_observed(rounds, SyncMode::Barrier, work, &mut stalls);
+    let barrier = pool.run_rounds(rounds, SyncMode::Barrier, work);
     let free = pool.run_rounds(rounds, SyncMode::Free, work);
     let eff_barrier = barrier.efficiency(threads);
     let eff_free = free.efficiency(threads);
@@ -87,14 +69,12 @@ fn main() {
         "efficiency ratio barrier/free = {:.2}  (paper: ≈ 0.5 — \"about half the efficiency\")",
         eff_barrier / eff_free.max(1e-9)
     );
-    if stalls.rounds > 0 {
-        println!(
-            "barrier stall: mean {:?}/round across {} threads, worst round {:?}",
-            stalls.total / stalls.rounds,
-            threads,
-            stalls.worst
-        );
-    }
+    println!(
+        "barrier stall: mean {:?}/round across {} threads, worst round {:?}",
+        barrier.stall / rounds as u32,
+        threads,
+        barrier.worst_round_stall
+    );
     if std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1)
@@ -113,6 +93,8 @@ visible but the free-running efficiency is depressed by time-slicing."
         &csv,
     )
     .expect("write sync_stall.csv");
-    eprintln!("wrote {}", path.display());
+    if !args.quiet {
+        eprintln!("wrote {}", path.display());
+    }
     args.write_profile();
 }

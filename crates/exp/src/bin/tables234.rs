@@ -2,11 +2,10 @@
 //!
 //! The three tables aggregate the *same* 3 × 20 × replicates experiment
 //! grid (§IV-B: "Table II and Table III report the mean and standard
-//! deviation of these experiments"); running them separately would triple
-//! the compute. This binary executes the grid once and emits all three
-//! tables and their CSVs. The individual `table2` / `table3` / `table4`
-//! binaries remain available for regenerating one table (e.g. with
-//! `--only`).
+//! deviation of these experiments"), so this binary executes the grid once
+//! and emits all three tables and their CSVs (`table2.csv`, `table3.csv`,
+//! `table4.csv`). `--only SUBSTR` restricts the grid to matching datasets;
+//! `--trace PATH` records the one grid pass every table is built from.
 
 use mwu_core::Variant;
 use mwu_datasets::full_catalog;
@@ -87,6 +86,8 @@ fn main() {
             &rows2
         )
     );
+    println!("— : intractable (population exceeds the agent cap)");
+    println!("≥ 10000 : no replicate converged within the iteration budget");
 
     // ---- Table III ----
     let mut rows3 = Vec::new();
@@ -166,6 +167,9 @@ fn main() {
             &rows4
         )
     );
+    println!("reading: Distributed's low iteration counts hide an explosive CPU bill");
+    println!("(population ~ k^(3/2) per iteration); Slate's high iteration counts");
+    println!("amortize over a small slate; Standard sits between.");
 
     for (name, header, rows) in [
         (

@@ -8,9 +8,7 @@
 //! | `table1` | Table I — asymptotic complexity, evaluated at concrete (k, n, ε, δ) |
 //! | `fig4a` | Fig. 4a — fraction passing vs. #applied safe mutations (plus untested-mutation comparison) |
 //! | `fig4b` | Fig. 4b — repair density vs. #combined mutations |
-//! | `table2` | Table II — update cycles until convergence (mean ± std over replicates) |
-//! | `table3` | Table III — accuracy (% of best-in-hindsight value) |
-//! | `table4` | Table IV — CPU-iteration cost |
+//! | `tables234` | Tables II–IV from one grid pass — update cycles until convergence (mean ± std over replicates), accuracy (% of best-in-hindsight value), CPU-iteration cost |
 //! | `cost_model` | §IV-E — weighted decision model and recommendations |
 //! | `congestion` | §II-C — Distributed congestion vs. balls-into-bins theory |
 //! | `sync_stall` | §III-C — synchronization-stall motivation for precomputation |

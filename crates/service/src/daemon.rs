@@ -34,7 +34,6 @@
 use crate::protocol::{parse_jobs, BudgetSpec, JobLine, JobSpec, ProtocolError};
 use crate::session::{commit_epoch, ScenarioData, SessionError, SessionRunner, SessionStatus};
 use crate::vfs::{with_retries, RealVfs, StorageFailure, StorageOp, Vfs};
-use mwu_core::trace::StorageEvent;
 use rayon::prelude::*;
 use serde::Serialize;
 use simnet::faults::RetryPolicy;
@@ -167,7 +166,10 @@ impl From<StorageFailure> for DaemonError {
 
 /// End-of-run accounting. Wall-clock lives only here (and in
 /// `BENCH_service.json`), never in work-directory artifacts, which must
-/// stay byte-deterministic.
+/// stay byte-deterministic. The storage-health counters
+/// (`sessions_quarantined`, `io_retries`, `io_faults_injected`) are
+/// reported only here and in `metrics.json`: the daemon emits no
+/// `mwu_core::trace::StorageEvent`.
 #[derive(Debug, Clone, Serialize)]
 pub struct DaemonSummary {
     /// Schema tag ([`SUMMARY_SCHEMA`]).
@@ -247,16 +249,6 @@ impl DaemonSummary {
     /// Canonical single-line JSON document.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("summary serializes")
-    }
-
-    /// The run's storage-health counters as a trace event, ready to feed
-    /// an observer (e.g. `MetricsSink::on_storage`).
-    pub fn storage_event(&self) -> StorageEvent {
-        StorageEvent {
-            io_retries: self.io_retries,
-            io_faults_injected: self.io_faults_injected,
-            sessions_quarantined: self.sessions_quarantined as u64,
-        }
     }
 }
 

@@ -11,14 +11,15 @@
 //! [`ThreadPool::run_rounds`] executes the same per-(thread, round) work
 //! closure under two regimes — [`SyncMode::Barrier`] (lock-step rounds) and
 //! [`SyncMode::Free`] (no synchronization) — so the efficiency ratio can be
-//! measured directly. The `sync_stall` experiment binary and a Criterion
-//! bench regenerate the §III-C numbers with this.
+//! measured directly; the returned [`WorkResult`] also carries the barrier
+//! stall. The `sync_stall` experiment binary regenerates the §III-C numbers
+//! with this.
 
 use crate::faults::FaultPlan;
 use crate::profhook::{self, SimEvent};
 use crossbeam::thread;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
@@ -42,6 +43,15 @@ pub struct WorkResult {
     pub items: u64,
     /// Sum of per-thread busy time (excludes barrier waits).
     pub busy: Duration,
+    /// Aggregate barrier-wait time: the sum over rounds of `max_busy ×
+    /// threads − total_busy` under [`SyncMode::Barrier`] (every thread
+    /// waits for the round's slowest), zero under [`SyncMode::Free`].
+    pub stall: Duration,
+    /// The largest single round's contribution to [`WorkResult::stall`].
+    pub worst_round_stall: Duration,
+    /// (thread, round) pairs slowed by an injected straggler fault (always
+    /// 0 without a fault plan — see [`ThreadPool::run_rounds_faulty`]).
+    pub stragglers: u64,
 }
 
 impl WorkResult {
@@ -53,65 +63,6 @@ impl WorkResult {
             return 1.0;
         }
         (self.busy.as_secs_f64() / denom).min(1.0)
-    }
-}
-
-/// Per-round timing snapshot delivered to a [`RoundObserver`]: the busy-time
-/// spread across threads and the synchronization stall it induces.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RoundEvent {
-    /// Round index (0-based).
-    pub round: usize,
-    /// Busy time of the slowest thread this round.
-    pub max_busy: Duration,
-    /// Busy time of the fastest thread this round.
-    pub min_busy: Duration,
-    /// Summed busy time across all threads this round.
-    pub total_busy: Duration,
-    /// Aggregate barrier-wait time this round: `max_busy × threads −
-    /// total_busy` under [`SyncMode::Barrier`] (every thread waits for the
-    /// slowest), zero under [`SyncMode::Free`].
-    pub stall: Duration,
-    /// Threads slowed by an injected straggler fault this round (always 0
-    /// without a fault plan — see [`ThreadPool::run_rounds_faulty`]).
-    pub stragglers: u64,
-}
-
-/// Receives one [`RoundEvent`] per executed round. The simnet crate stands
-/// below `mwu-core` in the dependency graph, so this is a local, minimal
-/// analogue of `mwu_core::trace::Observer`: implement both to bridge
-/// round-level telemetry into a shared sink.
-pub trait RoundObserver {
-    /// Gate: when `false`, the executor skips per-round timing collection
-    /// entirely (no allocation, no extra clock reads beyond the busy timer
-    /// it already keeps).
-    fn enabled(&self) -> bool {
-        true
-    }
-    /// One round's timing spread, delivered in round order after the pool
-    /// joins.
-    fn on_round(&mut self, event: RoundEvent);
-}
-
-/// The do-nothing observer: disables collection and monomorphizes away.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullRoundObserver;
-
-impl RoundObserver for NullRoundObserver {
-    #[inline(always)]
-    fn enabled(&self) -> bool {
-        false
-    }
-    #[inline(always)]
-    fn on_round(&mut self, _event: RoundEvent) {}
-}
-
-impl<O: RoundObserver> RoundObserver for &mut O {
-    fn enabled(&self) -> bool {
-        (**self).enabled()
-    }
-    fn on_round(&mut self, event: RoundEvent) {
-        (**self).on_round(event);
     }
 }
 
@@ -145,82 +96,55 @@ impl ThreadPool {
     where
         F: Fn(usize, usize) + Sync,
     {
-        self.run_rounds_observed(rounds, mode, work, &mut NullRoundObserver)
+        self.run_rounds_inner(rounds, mode, work, None)
     }
 
-    /// [`run_rounds`](Self::run_rounds) with per-round telemetry: after the
-    /// pool joins, `observer` receives one [`RoundEvent`] per round (in round
-    /// order) describing the busy-time spread across threads and the barrier
-    /// stall it implies. With a disabled observer (e.g.
-    /// [`NullRoundObserver`]) no per-round timings are recorded at all.
-    pub fn run_rounds_observed<F, O>(
+    /// [`run_rounds`](Self::run_rounds) under a fault plan: each (thread,
+    /// round) pair consults [`FaultPlan::straggler_us`] and, when
+    /// straggling, spins for the configured extra latency *inside* its busy
+    /// window — modeling the slow-thread regime of §III-C (under
+    /// [`SyncMode::Barrier`] every other thread absorbs the straggler's
+    /// latency as stall). Straggler hits are counted in
+    /// [`WorkResult::stragglers`].
+    pub fn run_rounds_faulty<F>(
         &self,
         rounds: usize,
         mode: SyncMode,
         work: F,
-        observer: &mut O,
-    ) -> WorkResult
-    where
-        F: Fn(usize, usize) + Sync,
-        O: RoundObserver,
-    {
-        self.run_rounds_inner(rounds, mode, work, observer, None)
-    }
-
-    /// [`run_rounds_observed`](Self::run_rounds_observed) under a fault
-    /// plan: each (thread, round) pair consults
-    /// [`FaultPlan::straggler_us`] and, when straggling, spins for the
-    /// configured extra latency *inside* its busy window — modeling the
-    /// slow-thread regime of §III-C (under [`SyncMode::Barrier`] every
-    /// other thread absorbs the straggler's latency as stall). Straggler
-    /// hits are reported per round in [`RoundEvent::stragglers`].
-    pub fn run_rounds_faulty<F, O>(
-        &self,
-        rounds: usize,
-        mode: SyncMode,
-        work: F,
-        observer: &mut O,
         plan: &FaultPlan,
     ) -> WorkResult
     where
         F: Fn(usize, usize) + Sync,
-        O: RoundObserver,
     {
-        self.run_rounds_inner(rounds, mode, work, observer, Some(plan))
+        self.run_rounds_inner(rounds, mode, work, Some(plan))
     }
 
-    fn run_rounds_inner<F, O>(
+    fn run_rounds_inner<F>(
         &self,
         rounds: usize,
         mode: SyncMode,
         work: F,
-        observer: &mut O,
         plan: Option<&FaultPlan>,
     ) -> WorkResult
     where
         F: Fn(usize, usize) + Sync,
-        O: RoundObserver,
     {
         let n = self.n_threads;
-        let record = observer.enabled();
         let barrier = Barrier::new(n);
-        let busy_total = Mutex::new(Duration::ZERO);
-        // One busy-time series per thread, filled only when observing.
+        // One busy-time series per thread: the stall is computed from the
+        // per-round spread after the pool joins.
         let per_thread: Mutex<Vec<Vec<Duration>>> = Mutex::new(vec![Vec::new(); n]);
-        let started = AtomicUsize::new(0);
+        let stragglers = AtomicU64::new(0);
         let t0 = Instant::now();
 
         thread::scope(|s| {
             for tid in 0..n {
                 let work = &work;
                 let barrier = &barrier;
-                let busy_total = &busy_total;
                 let per_thread = &per_thread;
-                let started = &started;
+                let stragglers = &stragglers;
                 s.spawn(move |_| {
-                    started.fetch_add(1, Ordering::SeqCst);
-                    let mut busy = Duration::ZERO;
-                    let mut series = Vec::with_capacity(if record { rounds } else { 0 });
+                    let mut series = Vec::with_capacity(rounds);
                     for r in 0..rounds {
                         let w0 = Instant::now();
                         work(tid, r);
@@ -228,13 +152,10 @@ impl ThreadPool {
                             let extra = p.straggler_us(tid, r);
                             if extra > 0 {
                                 spin_for_micros(extra);
+                                stragglers.fetch_add(1, Ordering::Relaxed);
                             }
                         }
-                        let d = w0.elapsed();
-                        busy += d;
-                        if record {
-                            series.push(d);
-                        }
+                        series.push(w0.elapsed());
                         if mode == SyncMode::Barrier {
                             let wait_t0 = profhook::active().then(Instant::now);
                             barrier.wait();
@@ -246,49 +167,33 @@ impl ThreadPool {
                             }
                         }
                     }
-                    *busy_total.lock() += busy;
-                    if record {
-                        per_thread.lock()[tid] = series;
-                    }
+                    per_thread.lock()[tid] = series;
                 });
             }
         })
         .expect("worker thread panicked");
+        let wall = t0.elapsed();
 
-        if record {
-            let per_thread = per_thread.into_inner();
+        let per_thread = per_thread.into_inner();
+        let mut stall = Duration::ZERO;
+        let mut worst_round_stall = Duration::ZERO;
+        if mode == SyncMode::Barrier {
             for r in 0..rounds {
-                let mut max_busy = Duration::ZERO;
-                let mut min_busy = Duration::MAX;
-                let mut total_busy = Duration::ZERO;
-                for series in &per_thread {
-                    let d = series[r];
-                    max_busy = max_busy.max(d);
-                    min_busy = min_busy.min(d);
-                    total_busy += d;
-                }
-                let stall = match mode {
-                    SyncMode::Barrier => max_busy * n as u32 - total_busy,
-                    SyncMode::Free => Duration::ZERO,
-                };
-                let stragglers = plan.map_or(0, |p| {
-                    (0..n).filter(|&tid| p.straggler_us(tid, r) > 0).count() as u64
-                });
-                observer.on_round(RoundEvent {
-                    round: r,
-                    max_busy,
-                    min_busy,
-                    total_busy,
-                    stall,
-                    stragglers,
-                });
+                let max_busy = per_thread.iter().map(|s| s[r]).max().unwrap_or_default();
+                let total_busy: Duration = per_thread.iter().map(|s| s[r]).sum();
+                let round_stall = max_busy * n as u32 - total_busy;
+                stall += round_stall;
+                worst_round_stall = worst_round_stall.max(round_stall);
             }
         }
 
         WorkResult {
-            wall: t0.elapsed(),
+            wall,
             items: (n * rounds) as u64,
-            busy: busy_total.into_inner(),
+            busy: per_thread.iter().flatten().sum(),
+            stall,
+            worst_round_stall,
+            stragglers: stragglers.into_inner(),
         }
     }
 }
@@ -307,7 +212,7 @@ pub fn spin_for_micros(micros: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn executes_all_items_in_both_modes() {
@@ -390,111 +295,94 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_every_round_in_order() {
-        struct Collect(Vec<RoundEvent>);
-        impl RoundObserver for Collect {
-            fn on_round(&mut self, e: RoundEvent) {
-                self.0.push(e);
-            }
-        }
+    fn barrier_stall_is_bounded_by_idle_time() {
         let pool = ThreadPool::new(3);
-        let mut obs = Collect(Vec::new());
-        let res =
-            pool.run_rounds_observed(7, SyncMode::Barrier, |_, _| spin_for_micros(20), &mut obs);
+        let res = pool.run_rounds(7, SyncMode::Barrier, |_, _| spin_for_micros(20));
         assert_eq!(res.items, 21);
-        assert_eq!(obs.0.len(), 7);
-        for (i, e) in obs.0.iter().enumerate() {
-            assert_eq!(e.round, i);
-            assert!(e.max_busy >= e.min_busy);
-            assert!(e.total_busy >= e.max_busy);
-            // stall = max × n − total is non-negative by construction.
-            assert_eq!(e.stall, e.max_busy * 3 - e.total_busy);
+        assert!(res.worst_round_stall <= res.stall);
+        // Rounds are disjoint under a barrier, so the slowest threads' busy
+        // times sum to at most the wall clock, and stall = threads × Σ max −
+        // busy ≤ threads × wall − busy.
+        assert!(res.stall + res.busy <= res.wall * 3);
+    }
+
+    #[test]
+    fn single_thread_barrier_never_stalls() {
+        // The only thread is the slowest one: max × 1 − total = 0.
+        let res = ThreadPool::new(1).run_rounds(5, SyncMode::Barrier, |_, _| spin_for_micros(10));
+        assert_eq!(res.stall, Duration::ZERO);
+        assert_eq!(res.worst_round_stall, Duration::ZERO);
+    }
+
+    #[test]
+    fn zero_rounds_report_nothing() {
+        for mode in [SyncMode::Barrier, SyncMode::Free] {
+            let res = ThreadPool::new(3).run_rounds_faulty(
+                0,
+                mode,
+                |_, _| panic!("no round to run"),
+                &straggling_plan(1.0),
+            );
+            assert_eq!((res.items, res.stragglers), (0, 0));
+            assert_eq!(res.busy, Duration::ZERO);
+            assert_eq!(res.stall, Duration::ZERO);
         }
-        // Summed per-round busy equals the WorkResult total.
-        let summed: Duration = obs.0.iter().map(|e| e.total_busy).sum();
-        assert_eq!(summed, res.busy);
     }
 
     #[test]
     fn free_mode_reports_zero_stall() {
-        struct Collect(Vec<RoundEvent>);
-        impl RoundObserver for Collect {
-            fn on_round(&mut self, e: RoundEvent) {
-                self.0.push(e);
-            }
-        }
         let pool = ThreadPool::new(2);
-        let mut obs = Collect(Vec::new());
-        pool.run_rounds_observed(4, SyncMode::Free, |_, _| spin_for_micros(10), &mut obs);
-        assert!(obs.0.iter().all(|e| e.stall == Duration::ZERO));
+        let res = pool.run_rounds(4, SyncMode::Free, |_, _| spin_for_micros(10));
+        assert_eq!(res.stall, Duration::ZERO);
+        assert_eq!(res.worst_round_stall, Duration::ZERO);
+    }
+
+    fn straggling_plan(rate: f64) -> FaultPlan {
+        use crate::faults::FaultConfig;
+        FaultPlan::new(
+            3,
+            FaultConfig {
+                straggler_rate: rate,
+                straggler_extra_us: 100,
+                ..FaultConfig::default()
+            },
+        )
     }
 
     #[test]
     fn stragglers_injected_and_reported() {
-        use crate::faults::{FaultConfig, FaultPlan};
-        struct Collect(Vec<RoundEvent>);
-        impl RoundObserver for Collect {
-            fn on_round(&mut self, e: RoundEvent) {
-                self.0.push(e);
-            }
-        }
-        let plan = FaultPlan::new(
-            3,
-            FaultConfig {
-                straggler_rate: 0.5,
-                straggler_extra_us: 100,
-                ..FaultConfig::default()
-            },
-        );
+        let plan = straggling_plan(0.5);
+        let expected = (0..2)
+            .flat_map(|tid| (0..20).map(move |r| (tid, r)))
+            .filter(|&(tid, r)| plan.straggler_us(tid, r) > 0)
+            .count() as u64;
+        assert!(expected > 0, "rate 0.5 over 40 draws should straggle");
+        // Hits are the plan's pure function of (thread, round), whatever
+        // the timing or the sync mode.
         let pool = ThreadPool::new(2);
-        let mut obs = Collect(Vec::new());
-        pool.run_rounds_faulty(20, SyncMode::Free, |_, _| {}, &mut obs, &plan);
-        assert_eq!(obs.0.len(), 20);
-        let total: u64 = obs.0.iter().map(|e| e.stragglers).sum();
-        assert!(total > 0, "rate 0.5 over 40 draws should straggle");
-        // A round where every thread straggled has a correspondingly
-        // inflated minimum busy time (the work closure itself is empty).
-        for e in obs.0.iter().filter(|e| e.stragglers == 2) {
-            assert!(
-                e.min_busy >= Duration::from_micros(80),
-                "straggling round {} min_busy {:?}",
-                e.round,
-                e.min_busy
-            );
+        for mode in [SyncMode::Barrier, SyncMode::Free] {
+            let res = pool.run_rounds_faulty(20, mode, |_, _| {}, &plan);
+            assert_eq!(res.stragglers, expected, "{mode:?}");
         }
     }
 
     #[test]
     fn quiescent_plan_reports_no_stragglers() {
-        use crate::faults::FaultPlan;
-        struct Collect(u64);
-        impl RoundObserver for Collect {
-            fn on_round(&mut self, e: RoundEvent) {
-                self.0 += e.stragglers;
-            }
-        }
         let pool = ThreadPool::new(2);
-        let mut obs = Collect(0);
-        pool.run_rounds_faulty(
-            5,
-            SyncMode::Barrier,
-            |_, _| {},
-            &mut obs,
-            &FaultPlan::quiescent(),
-        );
-        assert_eq!(obs.0, 0);
+        let res = pool.run_rounds_faulty(5, SyncMode::Barrier, |_, _| {}, &FaultPlan::quiescent());
+        assert_eq!(res.stragglers, 0);
     }
 
     #[test]
-    fn null_observer_matches_unobserved() {
+    fn every_straggler_inflates_busy_time() {
+        // The work closure is empty, so all busy time is injected latency.
         let pool = ThreadPool::new(2);
-        let a = pool.run_rounds(5, SyncMode::Barrier, |_, _| spin_for_micros(10));
-        let b = pool.run_rounds_observed(
-            5,
-            SyncMode::Barrier,
-            |_, _| spin_for_micros(10),
-            &mut NullRoundObserver,
+        let res = pool.run_rounds_faulty(5, SyncMode::Barrier, |_, _| {}, &straggling_plan(1.0));
+        assert_eq!(res.stragglers, 10);
+        assert!(
+            res.busy >= Duration::from_micros(2 * 5 * 100),
+            "busy {:?}",
+            res.busy
         );
-        assert_eq!(a.items, b.items);
     }
 }

@@ -33,7 +33,7 @@
 //!
 //! Per-round injected-fault counts are reported as [`FaultRoundStats`]
 //! inside [`crate::stats::RoundStats`] (and straggler hits inside
-//! [`crate::executor::RoundEvent`]), so the telemetry pipeline records
+//! [`crate::executor::WorkResult`]), so the telemetry pipeline records
 //! every injected fault alongside the traffic it perturbed.
 
 use serde::{Deserialize, Serialize};

@@ -13,9 +13,9 @@
 //!   and sends new ones. The engine records per-round
 //!   [`stats::RoundStats`] — exactly the congestion quantity of Table I.
 //! * [`executor::ThreadPool`] — a real-thread executor built on crossbeam
-//!   channels and a barrier, used to measure the *wall-clock* effect of
-//!   synchronization blocks: the paper's §III-C observation that with `m`
-//!   synchronized threads, the per-round latency is the *maximum* of the
+//!   scoped threads and a barrier, used to measure the *wall-clock* effect
+//!   of synchronization blocks: the paper's §III-C observation that with
+//!   `m` synchronized threads, the per-round latency is the *maximum* of the
 //!   per-thread work, so heavy-tailed work distributions cripple throughput
 //!   (the motivation for precomputing safe mutations).
 //!
@@ -27,8 +27,9 @@
 //! seeded [`faults::FaultPlan`] that the [`network::Network`] delivery path
 //! and the [`executor::ThreadPool`] consult to drop, delay, duplicate, and
 //! reorder messages, crash/restart agents, and inject stragglers — with
-//! per-round counts folded into [`stats::RoundStats`] and
-//! [`executor::RoundEvent`] so every injected fault is observable.
+//! per-round counts folded into [`stats::RoundStats`] and straggler hits
+//! counted in [`executor::WorkResult`], so every injected fault is
+//! observable.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -44,9 +45,7 @@ pub mod topology;
 
 pub use agent::{Agent, AgentId, Context, Message};
 pub use congestion::{balls_into_bins_max, expected_max_load};
-pub use executor::{
-    NullRoundObserver, RoundEvent, RoundObserver, SyncMode, ThreadPool, WorkResult,
-};
+pub use executor::{SyncMode, ThreadPool, WorkResult};
 pub use faults::{FaultConfig, FaultPlan, FaultRoundStats, MessageFate, RetryPolicy};
 pub use network::Network;
 pub use profhook::{set_hook as set_profile_hook, SimEvent};

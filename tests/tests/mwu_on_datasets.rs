@@ -29,7 +29,7 @@ fn run_variant(name: &str, dataset: &mwu_datasets::Dataset, seed: u64) -> Option
 fn all_variants_exceed_90_percent_accuracy_on_small_datasets() {
     // The paper's headline: "the mean accuracy of each algorithm is always
     // at least 90%." Checked here on the small catalog instances (the full
-    // grid is the table2/3/4 binaries' job).
+    // grid is the tables234 binary's job).
     for dataset in full_catalog()
         .into_iter()
         .filter(|d| d.size() <= 256 || d.family == Family::Java)

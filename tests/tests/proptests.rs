@@ -3,7 +3,7 @@
 use apr_sim::interaction::InteractionModel;
 use apr_sim::mutation::{MutOp, Mutation, MutationId};
 use mwu_core::slate::{decompose_into_slates, systematic_sample};
-use mwu_core::stats::{Counter, Histogram, RunningStats};
+use mwu_core::stats::{Histogram, RunningStats};
 use mwu_core::weights::WeightVector;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -170,7 +170,7 @@ proptest! {
         prop_assert!((a.variance() - seq.variance()).abs() < 1e-4 * (1.0 + seq.variance()));
     }
 
-    // --- Telemetry aggregates (trace::MetricsSink building blocks) ---
+    // --- Telemetry aggregates (prof registry latency histograms) ---
 
     #[test]
     fn histogram_merge_is_associative_and_order_insensitive(
@@ -273,27 +273,6 @@ proptest! {
         dirty.record(f64::NEG_INFINITY);
         prop_assert_eq!(clean.count(), dirty.count());
         prop_assert_eq!(clean.bucket_counts(), dirty.bucket_counts());
-    }
-
-    #[test]
-    fn counter_merge_adds_and_commutes(
-        a in 0u64..1_000_000,
-        b in 0u64..1_000_000,
-        bump in 0u64..100,
-    ) {
-        let mut x = Counter::new();
-        x.add(a);
-        let mut y = Counter::new();
-        y.add(b);
-        for _ in 0..bump {
-            y.incr();
-        }
-        let mut xy = x;
-        xy.merge(&y);
-        let mut yx = y;
-        yx.merge(&x);
-        prop_assert_eq!(xy.get(), a + b + bump);
-        prop_assert_eq!(xy.get(), yx.get());
     }
 
     // --- APR substrate ---

@@ -3,8 +3,8 @@
 //! The storage-fault adversary ([`FaultVfs`]) and the quarantine machinery
 //! extend the determinism contract of `service.rs` to failing hardware:
 //!
-//! * fault-free runs report exactly zero storage counters, in the summary
-//!   and through the `MetricsSink` observer (`fault_free_*`);
+//! * fault-free runs report exactly zero storage counters in the summary
+//!   (`fault_free_*`);
 //! * no fault schedule changes a *surviving* session's bytes, and the
 //!   quarantine set itself is thread-count-invariant
 //!   (`surviving_sessions_*`);
@@ -22,8 +22,6 @@ use mwrepair_service::{
     encode_line, BudgetSpec, Daemon, DaemonConfig, DaemonSummary, FaultVfs, JobLine, JobSpec,
     QuarantineRecord, RealVfs, ScenarioSpec, StorageFaultConfig, StorageFaultPlan, Vfs,
 };
-use mwu_core::trace::Observer;
-use mwu_core::MetricsSink;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -133,7 +131,7 @@ fn session_bytes(workdir: &Path, tenant: &str, id: &str) -> (Vec<u8>, Vec<u8>) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault-free runs report exactly zero storage counters (summary + sink).
+// Fault-free runs report exactly zero storage counters.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -146,41 +144,7 @@ fn fault_free_runs_report_zero_storage_counters() {
     assert_eq!(summary.sessions_quarantined, 0);
     assert_eq!(summary.io_retries, 0);
     assert_eq!(summary.io_faults_injected, 0);
-
-    // The same three counters flow through the observer pipeline.
-    let mut sink = MetricsSink::new();
-    sink.on_storage(summary.storage_event());
-    assert_eq!(sink.io_retries.get(), 0);
-    assert_eq!(sink.io_faults_injected.get(), 0);
-    assert_eq!(sink.sessions_quarantined.get(), 0);
-    let report = sink.report();
-    assert!(report.contains("io_retries=0"), "report: {report}");
-    assert!(report.contains("io_faults_injected=0"), "report: {report}");
-    assert!(
-        report.contains("sessions_quarantined=0"),
-        "report: {report}"
-    );
     let _ = std::fs::remove_dir_all(&workdir);
-}
-
-#[test]
-fn storage_counters_survive_metrics_merge() {
-    let mut a = MetricsSink::new();
-    a.on_storage(mwu_core::StorageEvent {
-        io_retries: 3,
-        io_faults_injected: 5,
-        sessions_quarantined: 1,
-    });
-    let mut b = MetricsSink::new();
-    b.on_storage(mwu_core::StorageEvent {
-        io_retries: 2,
-        io_faults_injected: 1,
-        sessions_quarantined: 0,
-    });
-    a.merge(&b);
-    assert_eq!(a.io_retries.get(), 5);
-    assert_eq!(a.io_faults_injected.get(), 6);
-    assert_eq!(a.sessions_quarantined.get(), 1);
 }
 
 // ---------------------------------------------------------------------------
