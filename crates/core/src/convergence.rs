@@ -15,7 +15,8 @@
 //! curve, or the top order statistics of 16,384 uniforms) — no run would
 //! ever converge on the paper's larger instances, contradicting Tables
 //! II–IV. The strict reading is retained as
-//! [`ConvergenceCriterion::WithinToleranceOfMax`] for the ablation bench.
+//! [`ConvergenceCriterion::WithinToleranceOfMax`] (`stability_window: 0`)
+//! for ablation.
 //!
 //! The criteria are factored out of the algorithms so the harness can also
 //! evaluate runs under alternative thresholds.

@@ -4,7 +4,7 @@
 //! notes in §VI that "each algorithm has multiple interacting parameters
 //! (e.g., learning rate, iteration limit, ...)" and calls for characterizing
 //! them. [`LearningRate`] supports the constant schedule used in the paper's
-//! experiments plus two decaying schedules used by our ablation benches.
+//! experiments plus two decaying schedules for ablation.
 
 use serde::{Deserialize, Serialize};
 

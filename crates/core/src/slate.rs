@@ -14,8 +14,8 @@
 //! ([`decompose_into_slates`]) and the operationally-equivalent systematic
 //! sampling procedure ([`systematic_sample`]) which achieves the same
 //! per-arm inclusion probabilities in `O(k)` per draw; the default
-//! configuration uses systematic sampling, and an ablation benchmark
-//! compares the two.
+//! configuration uses systematic sampling, and `bench_round` times both
+//! (its `slate` and `slate-decomp` cells).
 //!
 //! ## Round-kernel allocation discipline
 //!
@@ -43,7 +43,7 @@ pub enum SlateSampling {
     Systematic,
     /// Full convex decomposition of `q` into slate vertices, then sample a
     /// vertex: `O(k²)` per draw. Matches the paper's description literally;
-    /// used by tests and the ablation bench.
+    /// used by tests and `bench_round`.
     ConvexDecomposition,
 }
 

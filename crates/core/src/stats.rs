@@ -237,15 +237,8 @@ impl Histogram {
     /// Estimated `q`-quantile (`q` clamped to `[0, 1]`): the upper edge of
     /// the bucket holding the rank-`⌈q·n⌉` observation, clamped into the
     /// observed `[min, max]`. Bucket edges are fixed, so the estimate is
-    /// monotone non-decreasing in `q`. Returns 0.0 when empty — callers that
-    /// must distinguish "no data" from a real zero should use
-    /// [`Histogram::try_quantile`].
-    pub fn quantile(&self, q: f64) -> f64 {
-        self.try_quantile(q).unwrap_or(0.0)
-    }
-
-    /// [`Histogram::quantile`] that reports emptiness instead of conflating
-    /// it with an observed zero: `None` when no observations were recorded.
+    /// monotone non-decreasing in `q`. `None` when no observations were
+    /// recorded, so "no data" never reads as an observed zero.
     pub fn try_quantile(&self, q: f64) -> Option<f64> {
         let n = self.count();
         if n == 0 {
@@ -406,12 +399,12 @@ mod tests {
         let mut prev = f64::NEG_INFINITY;
         for i in 0..=20 {
             let q = i as f64 / 20.0;
-            let v = h.quantile(q);
+            let v = h.try_quantile(q).expect("non-empty histogram");
             assert!(v >= prev, "quantile({q}) = {v} < {prev}");
             assert!((1.0..=100.0).contains(&v));
             prev = v;
         }
-        assert_eq!(Histogram::new().quantile(0.5), 0.0);
+        assert_eq!(Histogram::new().try_quantile(0.5), None);
     }
 
     #[test]
@@ -424,7 +417,6 @@ mod tests {
         zeros.record(0.0);
         assert_eq!(zeros.count(), 1);
         assert_eq!(zeros.try_quantile(0.5), Some(0.0));
-        assert_eq!(zeros.quantile(0.5), 0.0);
     }
 
     #[test]

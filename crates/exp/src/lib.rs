@@ -16,7 +16,6 @@
 //! | `chaos` | robustness — convergence degradation under injected faults (docs/FAULTS.md) |
 //! | `mwrepair_run` | robustness — crash-safe MWRepair with `--checkpoint` / `--resume` / `--halt-after` |
 //! | `mwrepaird` | service — multi-tenant repair daemon over a JSONL job spool (docs/SERVICE.md) |
-//! | `loadgen` | service — thousand-session load replay at 1/2/4/8 threads, writes `BENCH_service.json` |
 //!
 //! Every binary prints the paper-shaped table to stdout and writes CSV into
 //! `results/`. Common flags: `--replicates N` (default 100, the paper's

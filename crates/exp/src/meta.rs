@@ -1,10 +1,10 @@
 //! Shared provenance block for benchmark artifacts.
 //!
-//! `BENCH_round.json`, `BENCH_grid.json`, `BENCH_service.json`, and the
-//! profile reports all embed one [`BenchMeta`] so a perf trajectory can
-//! tell at a glance *what* produced each number: how many pool threads
-//! were available, whether the binary was a release build (debug numbers
-//! are meaningless for regression gating), and which kernel revision ran.
+//! `BENCH_round.json`, `BENCH_grid.json` and the profile reports all
+//! embed one [`BenchMeta`] so a perf trajectory can tell at a glance
+//! *what* produced each number: how many pool threads were available,
+//! whether the binary was a release build (debug numbers are
+//! meaningless for regression gating), and which kernel revision ran.
 //! The block carries its own schema tag so the shape can evolve without
 //! revving every artifact schema in lockstep.
 

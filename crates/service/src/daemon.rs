@@ -165,8 +165,8 @@ impl From<StorageFailure> for DaemonError {
 }
 
 /// End-of-run accounting. Wall-clock lives only here (and in
-/// `BENCH_service.json`), never in work-directory artifacts, which must
-/// stay byte-deterministic. The storage-health counters
+/// `metrics.json`), never in the deterministic work-directory artifacts
+/// (traces, checkpoints, reports). The storage-health counters
 /// (`sessions_quarantined`, `io_retries`, `io_faults_injected`) are
 /// reported only here and in `metrics.json`: the daemon emits no
 /// `mwu_core::trace::StorageEvent`.

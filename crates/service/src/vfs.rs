@@ -1209,7 +1209,7 @@ mod tests {
     }
 
     /// Barrier-time syncs must book under the `SyncBarrier` profiler
-    /// phase, not `Fsync`, so the loadgen matrix can split one-shot
+    /// phase, not `Fsync`, so a daemon profile can split one-shot
     /// fsyncs from batched-barrier wall time. Runs under the
     /// deterministic counting clock; per-thread rows isolate this test
     /// from concurrent tests in the same binary.

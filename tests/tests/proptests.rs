@@ -249,12 +249,13 @@ proptest! {
             hi = hi.max(x);
         }
         let (qlo, qhi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
-        let vlo = h.quantile(qlo);
-        let vhi = h.quantile(qhi);
+        let vlo = h.try_quantile(qlo).expect("non-empty histogram");
+        let vhi = h.try_quantile(qhi).expect("non-empty histogram");
         prop_assert!(vlo <= vhi, "quantile({qlo}) = {vlo} > quantile({qhi}) = {vhi}");
         for q in [0.0, qlo, qhi, 1.0] {
-            let v = h.quantile(q);
+            let v = h.try_quantile(q).expect("non-empty histogram");
             prop_assert!((lo..=hi).contains(&v), "quantile({q}) = {v} outside [{lo}, {hi}]");
+            prop_assert_eq!(Histogram::new().try_quantile(q), None);
         }
     }
 

@@ -4,8 +4,9 @@
 //! `JobSpec` and the daemon's slice length. These tests pin the contract
 //! byte-for-byte in every configuration the service promises:
 //!
-//! * solo vs. surrounded by 100+ other tenants' sessions, at 1/4/8
-//!   threads (`solo_vs_concurrent_*`);
+//! * solo vs. surrounded by a few hundred sessions of a many-tenant
+//!   load mix, and every file of that mix, at 1/4/8 threads
+//!   (`solo_vs_concurrent_*`);
 //! * across cooperative kills and checkpoint resumes under load, torn
 //!   trace writes included (`kill_resume_under_load_*`);
 //! * under tenant budget exhaustion — the halted tenant gets a
@@ -20,9 +21,11 @@ use mwrepair::VariantChoice;
 use mwrepair_service::session::ScenarioData;
 use mwrepair_service::{
     commit_epoch, encode_line, parse_jobs, parse_line, BudgetSpec, Daemon, DaemonConfig,
-    DaemonSummary, JobLine, JobSpec, ProtocolError, RealVfs, ScenarioSpec, SessionRunner, Vfs,
+    DaemonSummary, JobLine, JobSpec, ProtocolError, RealVfs, ScenarioSpec, SessionReport,
+    SessionRunner, Vfs,
 };
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -118,13 +121,86 @@ fn session_bytes(workdir: &Path, tenant: &str, id: &str) -> (Vec<u8>, Vec<u8>) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism contract: solo vs. 100+ concurrent tenants, across threads.
+// Determinism contract: solo vs. a many-tenant load mix, across threads.
 // ---------------------------------------------------------------------------
+
+/// The load mix (the `daemon-mem` benchmark's, at seed 1): `sessions`
+/// jobs over `tenants` tenants cycling through six small synthetic
+/// scenario families — every tenth job Distributed, the odd ones Slate,
+/// the rest Standard — plus a budget tight enough to exhaust tenant
+/// `t000` mid-run.
+fn load_mix(sessions: usize, tenants: usize) -> (Vec<JobSpec>, BudgetSpec) {
+    let families: Vec<ScenarioSpec> = (0..6u64)
+        .map(|f| ScenarioSpec::Synthetic {
+            name: format!("load-family-{f}"),
+            options: 16 + 2 * f as usize,
+            x_star: 4 + f as usize,
+            statements: 150 + 25 * f as usize,
+            tests: 8 + (f as usize % 3),
+            // Pools hold ~options mutations, so the repairing families
+            // need a rate ≳ 1/options to actually contain a repairer.
+            repair_rate: if f % 2 == 0 { 0.0 } else { 0.05 },
+            world_seed: 101 + f,
+            pool_size: Some(16 + 2 * f as usize),
+        })
+        .collect();
+    let jobs = (0..sessions)
+        .map(|i| {
+            let algorithm = match i % 10 {
+                3 => VariantChoice::Distributed,
+                n if n % 2 == 0 => VariantChoice::Standard,
+                _ => VariantChoice::Slate,
+            };
+            // Distributed probes its whole agent population each cycle,
+            // so it gets a lower cycle cap for comparable per-session work.
+            let max_iterations = if algorithm == VariantChoice::Distributed {
+                6 + i % 5
+            } else {
+                10 + (i * 11) % 21
+            };
+            JobSpec {
+                id: format!("job-{i:05}"),
+                tenant: format!("t{:03}", i % tenants),
+                scenario: families[i % families.len()].clone(),
+                algorithm,
+                seed: 1_000_000_007 + i as u64,
+                max_iterations,
+            }
+        })
+        .collect();
+    let budget = BudgetSpec {
+        tenant: "t000".into(),
+        max_evals: Some(1_500),
+        max_ms: None,
+    };
+    (jobs, budget)
+}
+
+/// Every file under `<workdir>/tenants`, keyed by its path relative to
+/// the work directory.
+fn tenant_tree(workdir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    fn walk(root: &Path, dir: &Path, out: &mut BTreeMap<PathBuf, Vec<u8>>) {
+        for entry in std::fs::read_dir(dir).expect("read_dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                walk(root, &path, out);
+            } else {
+                let rel = path.strip_prefix(root).expect("under root").to_path_buf();
+                out.insert(rel, std::fs::read(&path).expect("read file"));
+            }
+        }
+    }
+    let mut out = BTreeMap::new();
+    walk(workdir, &workdir.join("tenants"), &mut out);
+    out
+}
 
 #[test]
 fn solo_vs_concurrent_tenants_across_thread_counts() {
     ensure_pool();
     const SLICE: usize = 4;
+    const SESSIONS: usize = 300;
+    const TENANTS: usize = 30;
     let target = job("target-job", "target-tenant", 42);
 
     // Reference: the target session alone in its own work directory.
@@ -139,36 +215,64 @@ fn solo_vs_concurrent_tenants_across_thread_counts() {
     let reference = session_bytes(&solo_dir, "target-tenant", "target-job");
     std::fs::remove_dir_all(&solo_dir).unwrap();
 
-    // Crowd: the same job surrounded by 104 other tenants' sessions with
-    // a mix of variants, seeds, and iteration caps.
-    let mut jobs = vec![target];
-    for i in 0..104u64 {
-        let mut j = job(
-            &format!("bg-job-{i:03}"),
-            &format!("bg-tenant-{i:03}"),
-            1000 + i,
-        );
-        j.algorithm = if i % 3 == 0 {
-            VariantChoice::Slate
-        } else {
-            VariantChoice::Standard
-        };
-        j.max_iterations = 6 + (i as usize % 13);
-        jobs.push(j);
-    }
-    let crowd = batch(&jobs, &[]);
+    // Crowd: the same job inside the load mix.
+    let (mut jobs, budget) = load_mix(SESSIONS, TENANTS);
+    jobs.push(target);
+    let crowd = batch(&jobs, &[budget]);
 
-    for threads in [1usize, 4, 8] {
+    let run = |threads: usize| {
         let dir = tmp_dir(&format!("crowd-{threads}"));
         let summary = run_daemon(&dir, &crowd, SLICE, None, threads);
-        assert_eq!(summary.sessions, 105);
-        assert_eq!(summary.completed, 105);
-        let got = session_bytes(&dir, "target-tenant", "target-job");
+        assert_eq!(summary.sessions, jobs.len());
+        assert_eq!(summary.completed + summary.budget_exhausted, jobs.len());
         assert_eq!(
-            got, reference,
-            "target session bytes changed with 104 concurrent tenants at {threads} threads"
+            session_bytes(&dir, "target-tenant", "target-job"),
+            reference,
+            "target session bytes changed inside the load mix at {threads} threads"
         );
+        let tree = tenant_tree(&dir);
         std::fs::remove_dir_all(&dir).unwrap();
+        (summary, tree)
+    };
+
+    let (summary, reference_tree) = run(1);
+    assert!(summary.budget_exhausted > 0, "t000's budget must bite");
+    // Every session leaves trace.jsonl and report.json; a budget-exhausted
+    // one also keeps session.json to resume from.
+    assert_eq!(
+        reference_tree.len(),
+        2 * jobs.len() + summary.budget_exhausted,
+        "files under tenants/"
+    );
+    let distributed: Vec<&JobSpec> = jobs
+        .iter()
+        .filter(|j| j.algorithm == VariantChoice::Distributed)
+        .collect();
+    assert_eq!(distributed.len(), SESSIONS / 10);
+    for j in distributed {
+        let path = Path::new("tenants")
+            .join(&j.tenant)
+            .join(&j.id)
+            .join("report.json");
+        let text = std::str::from_utf8(&reference_tree[&path]).unwrap();
+        let report: SessionReport = serde_json::from_str(text.trim()).unwrap();
+        assert!(report.iterations > 0, "{} never ran a cycle", j.id);
+    }
+
+    for threads in [4usize, 8] {
+        let (other, tree) = run(threads);
+        assert_eq!(other.budget_exhausted, summary.budget_exhausted);
+        assert!(
+            tree.keys().eq(reference_tree.keys()),
+            "file set under tenants/ changed at {threads} threads"
+        );
+        for (path, bytes) in &tree {
+            assert!(
+                *bytes == reference_tree[path],
+                "{} differs between 1 and {threads} threads",
+                path.display()
+            );
+        }
     }
 }
 
@@ -662,12 +766,15 @@ fn profiling_on_vs_off_leaves_every_byte_identical() {
 // replaces, lost renames) all resume byte-identically.
 // ---------------------------------------------------------------------------
 
-/// Forwards to the real filesystem, counting batched barriers and the
-/// paths handed to them.
+/// Forwards to the real filesystem, counting batched barriers, the paths
+/// handed to them, and every call that is durable on its own.
 #[derive(Debug, Default)]
 struct CountingVfs {
     barriers: AtomicU64,
     paths: AtomicU64,
+    write_atomic: AtomicU64,
+    truncate_sync: AtomicU64,
+    sync_file: AtomicU64,
 }
 
 impl Vfs for CountingVfs {
@@ -678,12 +785,14 @@ impl Vfs for CountingVfs {
         RealVfs.read(path)
     }
     fn truncate_sync(&self, path: &Path, len: u64) -> std::io::Result<()> {
+        self.truncate_sync.fetch_add(1, Ordering::Relaxed);
         RealVfs.truncate_sync(path, len)
     }
     fn file_len(&self, path: &Path) -> std::io::Result<u64> {
         RealVfs.file_len(path)
     }
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        self.write_atomic.fetch_add(1, Ordering::Relaxed);
         RealVfs.write_atomic(path, bytes)
     }
     fn remove_file(&self, path: &Path) -> std::io::Result<()> {
@@ -702,6 +811,7 @@ impl Vfs for CountingVfs {
         RealVfs.write_atomic_deferred(path, bytes)
     }
     fn sync_file(&self, path: &Path) -> std::io::Result<()> {
+        self.sync_file.fetch_add(1, Ordering::Relaxed);
         RealVfs.sync_file(path)
     }
     fn commit_atomic(&self, path: &Path) -> std::io::Result<()> {
@@ -725,22 +835,47 @@ fn barrier_per_write_matches_barrier_per_round() {
             j
         })
         .collect();
-    let bytes = batch(&jobs, &[]);
+    // gc-t0's three sessions (2, 3 and 3 slices) cost 80 evals a slice
+    // each: the budget holds for one round and is exceeded at the second
+    // barrier, where gc-job-0 completes and the other two are exhausted.
+    let budget = BudgetSpec {
+        tenant: "gc-t0".into(),
+        max_evals: Some(300),
+        max_ms: None,
+    };
+    let bytes = batch(&jobs, std::slice::from_ref(&budget));
 
     // Barrier per write: every job as a standalone runner that commits
-    // an epoch of one after each slice.
+    // an epoch of one after each slice. The runners advance in lockstep
+    // rounds so the budget is charged at the same points as the daemon's
+    // round barrier.
     let solo_dir = tmp_dir("barrier-per-write");
     let mut solo_paths = 0;
-    for j in &jobs {
-        let scenario = j.scenario.build().expect("scenario builds");
-        let pool = scenario.build_pool(1, None);
-        let data = Arc::new(ScenarioData { scenario, pool });
-        let mut s = SessionRunner::open(j.clone(), data, &solo_dir).expect("open session");
-        while s.is_active() {
+    let mut runners: Vec<SessionRunner> = jobs
+        .iter()
+        .map(|j| {
+            let scenario = j.scenario.build().expect("scenario builds");
+            let pool = scenario.build_pool(1, None);
+            let data = Arc::new(ScenarioData { scenario, pool });
+            SessionRunner::open(j.clone(), data, &solo_dir).expect("open session")
+        })
+        .collect();
+    while runners.iter().any(SessionRunner::is_active) {
+        for s in runners.iter_mut().filter(|s| s.is_active()) {
             s.run_slice(SLICE);
-            let (paths, _ms) = commit_epoch(std::slice::from_mut(&mut s)).expect("staged slice");
+            let (paths, _ms) = commit_epoch(std::slice::from_mut(s)).expect("staged slice");
             solo_paths += paths;
-            assert!(s.take_error().is_none(), "{} failed", j.id);
+            assert!(s.take_error().is_none(), "{} failed", s.job().id);
+        }
+        let tenant = || runners.iter().filter(|s| s.job().tenant == budget.tenant);
+        let evals = tenant().map(|s| s.cost().fitness_evals).sum();
+        let ms = tenant().map(|s| s.cost().simulated_ms).sum();
+        if budget.exceeded(evals, ms) {
+            for s in runners.iter_mut() {
+                if s.job().tenant == budget.tenant && s.is_active() {
+                    s.finish_budget_exhausted().expect("budget report");
+                }
+            }
         }
     }
 
@@ -755,7 +890,9 @@ fn barrier_per_write_matches_barrier_per_round() {
         let mut daemon = Daemon::open(config).expect("open daemon");
         daemon.submit_bytes(&bytes).expect("submit batch");
         let summary = rayon::with_max_threads(threads, || daemon.run()).expect("daemon run");
-        assert_eq!(summary.completed, jobs.len());
+        let count = |calls: &AtomicU64| calls.load(Ordering::Relaxed);
+        assert_eq!(summary.budget_exhausted, 2, "gc-t0's budget must bite");
+        assert_eq!(summary.completed, jobs.len() - 2);
         assert!(
             summary.io_syncs_batched > 0,
             "group commit must batch syncs"
@@ -763,14 +900,24 @@ fn barrier_per_write_matches_barrier_per_round() {
         assert!(summary.sync_barrier.count > 0, "barrier latency sampled");
         // Every path counted as batched was handed to a barrier, and the
         // barriers are the rounds' plus the end-of-run flush.
-        assert_eq!(summary.io_syncs_batched, vfs.paths.load(Ordering::Relaxed));
-        assert_eq!(
-            summary.sync_barrier.count,
-            vfs.barriers.load(Ordering::Relaxed)
-        );
+        assert_eq!(summary.io_syncs_batched, count(&vfs.paths));
+        assert_eq!(summary.sync_barrier.count, count(&vfs.barriers));
         assert_eq!(summary.sync_barrier.count, summary.rounds + 1);
         // The same staged paths, batched per round instead of per write.
         assert_eq!(summary.io_syncs_batched, solo_paths as u64 + 1);
+        // Nothing outside the barrier syncs on its own except three
+        // one-shot replaces: the spool (`write_spool`, first thing in
+        // `run`), one report per budget-exhausted session
+        // (`finish_budget_exhausted`) and `metrics.json` (`write_metrics`,
+        // last thing in `run`). `sync_file` is the barrier's per-path
+        // retry, which a healthy disk never needs, and a fresh session
+        // with no trace on disk skips its reconciliation truncate.
+        assert_eq!(
+            count(&vfs.write_atomic),
+            summary.budget_exhausted as u64 + 2
+        );
+        assert_eq!(count(&vfs.truncate_sync), 0);
+        assert_eq!(count(&vfs.sync_file), 0);
         for j in &jobs {
             assert_eq!(
                 session_bytes(&dir, &j.tenant, &j.id),
