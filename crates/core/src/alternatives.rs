@@ -458,8 +458,8 @@ impl MwuAlgorithm for Exp3 {
     }
 
     fn plan(&mut self, rng: &mut SmallRng) -> &[usize] {
-        // Sample the γ-mixture without materializing it — same draw, same
-        // accumulated terms as `mix_uniform(γ).sample(rng)`, zero alloc.
+        // Sample the γ-mixture without materializing it: one draw, one
+        // scan, zero alloc.
         let arm = self.weights.sample_mixed(self.gamma, rng);
         self.last_arm = arm;
         self.last_p = self.selection_p(arm);

@@ -47,7 +47,6 @@ const MAX_CACHED_PER_VARIANT: usize = 4;
 #[derive(Default)]
 pub struct ThreadArena {
     usize_bufs: Vec<Vec<usize>>,
-    f64_bufs: Vec<Vec<f64>>,
     standard: Vec<StandardMwu>,
     slate: Vec<SlateMwu>,
     distributed: Vec<DistributedMwu>,
@@ -82,20 +81,6 @@ impl ThreadArena {
     pub fn give_usize(&mut self, buf: Vec<usize>) {
         if self.usize_bufs.len() < MAX_CACHED_PER_VARIANT {
             self.usize_bufs.push(buf);
-        }
-    }
-
-    /// A cleared `Vec<f64>`, reusing a returned buffer's capacity.
-    pub fn take_f64(&mut self) -> Vec<f64> {
-        let mut buf = self.f64_bufs.pop().unwrap_or_default();
-        buf.clear();
-        buf
-    }
-
-    /// Return a `Vec<f64>` for reuse.
-    pub fn give_f64(&mut self, buf: Vec<f64>) {
-        if self.f64_bufs.len() < MAX_CACHED_PER_VARIANT {
-            self.f64_bufs.push(buf);
         }
     }
 
@@ -273,9 +258,9 @@ mod tests {
         assert_eq!(again.capacity(), cap);
 
         for _ in 0..20 {
-            arena.give_f64(Vec::with_capacity(8));
+            arena.give_usize(Vec::with_capacity(8));
         }
-        assert!(arena.f64_bufs.len() <= MAX_CACHED_PER_VARIANT);
+        assert!(arena.usize_bufs.len() <= MAX_CACHED_PER_VARIANT);
     }
 
     #[test]

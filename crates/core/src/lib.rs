@@ -13,8 +13,9 @@
 //! * [`SlateMwu`] — the slate-selection variant (Fig. 2, after Kale et al.).
 //!   A fixed-size subset (slate) of options is evaluated per iteration, and
 //!   only the sampled options' weights are updated (importance-weighted).
-//!   Includes the *O(k²)* convex decomposition of a capped weight vector into
-//!   slate vertices as well as a fast systematic-sampling equivalent.
+//!   Slates are drawn by systematic sampling, which gives every option the
+//!   inclusion probability of the paper's *O(k²)* convex decomposition of
+//!   the capped weight vector (kept as a test oracle).
 //! * [`DistributedMwu`] — the memoryless population protocol (Fig. 3, after
 //!   the social-learning dynamics of Celis, Krafft & Vishnoi). The weight
 //!   vector exists only implicitly as the population share of each option;

@@ -1,25 +1,198 @@
 //! Naive, allocation-heavy reference implementations of the MWU round
-//! kernels, retained as test oracles for the allocation-free refactor.
+//! kernels, kept as test oracles for the production kernels.
 //!
-//! Each `Reference*` struct reproduces the *pre-refactor* shape of one
+//! Each `Reference*` struct reproduces the straightforward shape of one
 //! algorithm's round: fresh vectors every plan, allocating simplex helpers
-//! (`mix_uniform`, `capped`, `systematic_sample`, `decompose_into_slates`,
-//! `sample_decomposition`), one RNG draw per sampling decision in the same
-//! order. The property tests below drive a reference and its production
-//! twin with twin-seeded RNGs and assert that the weight trajectories are
-//! **bit-identical** (`f64::to_bits`), not merely close — the guarantee the
-//! determinism suites and the CI thread-matrix byte-diffs rely on.
+//! ([`mix_uniform`], [`capped`], [`systematic_sample`]), one RNG draw per
+//! sampling decision in the same order. The property tests below drive a
+//! reference and its production twin with twin-seeded RNGs and assert that
+//! the weight trajectories are **bit-identical** (`f64::to_bits`), not merely
+//! close — the guarantee the determinism suites and the CI thread-matrix
+//! byte-diffs rely on.
+//!
+//! The paper's §II-C slate selection lives here too: the `O(k²)` convex
+//! decomposition of the capped vector into slates
+//! ([`decompose_into_slates`], [`sample_decomposition`]). Production draws
+//! slates by systematic sampling instead, with the same per-arm inclusion
+//! probabilities; a property test checks that every capped vector the
+//! production kernel emits decomposes exactly into slates.
 //!
 //! This module is compiled only under `cfg(test)`.
 
 use crate::distributed::DistributedConfig;
 use crate::schedule::LearningRate;
-use crate::slate::{
-    decompose_into_slates, sample_decomposition, systematic_sample, SlateConfig, SlateSampling,
-};
-use crate::weights::WeightVector;
+use crate::slate::SlateConfig;
 use rand::rngs::SmallRng;
-use rand::RngCore;
+use rand::{Rng, RngCore};
+
+/// Divide by the sum: the float operations of `WeightVector`'s
+/// renormalization.
+fn renormalize(p: &mut [f64]) {
+    let sum: f64 = p.iter().sum();
+    let inv = 1.0 / sum;
+    for x in p {
+        *x *= inv;
+    }
+}
+
+/// Mix with the uniform distribution: `(1−γ)·p + γ/k`.
+pub fn mix_uniform(p: &[f64], gamma: f64) -> Vec<f64> {
+    let k = p.len() as f64;
+    p.iter().map(|&x| (1.0 - gamma) * x + gamma / k).collect()
+}
+
+/// Cap-and-renormalize by the fused water-filling loop: each pass fixes
+/// every free coordinate at or above `cap` and rescales the free mass to
+/// fill what the fixed coordinates left, until a pass fixes nothing. A cap
+/// of exactly `1/k` returns the uniform vector.
+pub fn capped(p: &[f64], cap: f64) -> Vec<f64> {
+    let k = p.len();
+    assert!(cap * k as f64 >= 1.0 - 1e-12, "cap {cap} too small for {k}");
+    if cap * k as f64 <= 1.0 + 1e-12 {
+        return vec![1.0 / k as f64; k];
+    }
+    let mut p = p.to_vec();
+    let mut fixed = vec![false; k];
+    loop {
+        let mut over = false;
+        let mut free_sum = 0.0;
+        let mut fixed_sum = 0.0;
+        for i in 0..k {
+            if fixed[i] {
+                fixed_sum += cap;
+            } else if p[i] >= cap {
+                fixed[i] = true;
+                fixed_sum += cap;
+                over = true;
+            } else {
+                free_sum += p[i];
+            }
+        }
+        if !over {
+            break;
+        }
+        let remaining = (1.0 - fixed_sum).max(0.0);
+        if free_sum <= 0.0 {
+            break;
+        }
+        let scale = remaining / free_sum;
+        for i in 0..k {
+            if fixed[i] {
+                p[i] = cap;
+            } else {
+                p[i] *= scale;
+            }
+        }
+    }
+    for i in 0..k {
+        if fixed[i] {
+            p[i] = cap;
+        }
+    }
+    renormalize(&mut p);
+    p
+}
+
+/// Systematic sampling by linear scan: one uniform draw `u`, then arm `i`
+/// is pushed once for every point `u, u+1, …` below its cumulative sum,
+/// padding from the end if rounding pushed a point off the axis.
+pub fn systematic_sample(q: &[f64], s: usize, rng: &mut SmallRng) -> Vec<usize> {
+    let u: f64 = rng.gen::<f64>();
+    let mut out = Vec::with_capacity(s);
+    let mut acc = 0.0;
+    let mut next = u;
+    for (i, &qi) in q.iter().enumerate() {
+        acc += qi.max(0.0);
+        while next < acc - 1e-15 && out.len() < s {
+            out.push(i);
+            next += 1.0;
+        }
+    }
+    let mut fill = q.len();
+    while out.len() < s && fill > 0 {
+        fill -= 1;
+        if !out.contains(&fill) {
+            out.push(fill);
+        }
+    }
+    out
+}
+
+/// Convex decomposition of scaled inclusion probabilities into slates.
+///
+/// Given `q` with `Σq = s` and `0 ≤ q_i ≤ 1`, returns `(λ_j, S_j)` pairs with
+/// `Σλ_j = 1`, `|S_j| = s` and `Σ_j λ_j·1{i ∈ S_j} = q_i` — the decomposition
+/// the paper cites as requiring `O(k²)` time (§II-C).
+///
+/// Greedy peeling: repeatedly select the `s` currently-largest residuals as
+/// a slate and peel off the largest coefficient `λ` that keeps the residual
+/// problem feasible (every residual within `[0, B]` for remaining budget
+/// `B`). Each step zeroes a residual or pins one to the budget, so at most
+/// `2k` slates are produced.
+pub fn decompose_into_slates(q: &[f64], s: usize) -> Vec<(f64, Vec<usize>)> {
+    let k = q.len();
+    assert!(s >= 1 && s <= k, "slate size {s} out of range for k={k}");
+    let total: f64 = q.iter().sum();
+    assert!(
+        (total - s as f64).abs() < 1e-6,
+        "q must sum to s (got {total})"
+    );
+    let mut r: Vec<f64> = q.iter().map(|&x| x.clamp(0.0, 1.0)).collect();
+    let mut order: Vec<usize> = (0..k).collect();
+    let mut out = Vec::new();
+    let mut budget = 1.0f64;
+    for _ in 0..2 * k + 2 {
+        if budget <= 1e-12 {
+            break;
+        }
+        // Sort indices by residual, descending; the slate is the top s.
+        order.sort_unstable_by(|&a, &b| r[b].total_cmp(&r[a]));
+        let min_in = order[..s]
+            .iter()
+            .map(|&i| r[i])
+            .fold(f64::INFINITY, f64::min);
+        // Largest residual outside the slate (0 if none).
+        let max_out = if s < k { r[order[s]] } else { 0.0 };
+        // λ must not drive an in-slate residual negative, nor leave an
+        // out-of-slate residual above the shrunken budget (budget − λ ≥
+        // max_out).
+        let lambda = min_in.min(budget - max_out).min(budget).max(0.0);
+        if lambda <= 1e-15 {
+            // Degenerate (numerical dust): spend the remaining budget on the
+            // current top-s slate and stop.
+            out.push((budget, order[..s].to_vec()));
+            budget = 0.0;
+            break;
+        }
+        for &i in &order[..s] {
+            r[i] -= lambda;
+        }
+        budget -= lambda;
+        out.push((lambda, order[..s].to_vec()));
+    }
+    if budget > 1e-9 {
+        // Should be unreachable; keep total mass consistent regardless.
+        order.sort_unstable_by(|&a, &b| r[b].total_cmp(&r[a]));
+        out.push((budget, order[..s].to_vec()));
+    }
+    out
+}
+
+/// Draw one slate from a convex decomposition (vertex sampled ∝ λ).
+pub fn sample_decomposition(decomposition: &[(f64, Vec<usize>)], rng: &mut SmallRng) -> Vec<usize> {
+    let total: f64 = decomposition.iter().map(|(l, _)| *l).sum();
+    let mut u: f64 = rng.gen::<f64>() * total;
+    for (lambda, slate) in decomposition {
+        if u < *lambda {
+            return slate.clone();
+        }
+        u -= lambda;
+    }
+    decomposition
+        .last()
+        .map(|(_, s)| s.clone())
+        .unwrap_or_default()
+}
 
 /// Naive Standard MWU: raw probability vector, fresh plan vector per round,
 /// the same multiplicative update and renormalization float ops as
@@ -59,11 +232,7 @@ impl ReferenceStandard {
             };
             *p = (*p * f).max(1e-300);
         }
-        let sum: f64 = self.p.iter().sum();
-        let inv = 1.0 / sum;
-        for p in &mut self.p {
-            *p *= inv;
-        }
+        renormalize(&mut self.p);
     }
 
     pub fn probabilities(&self) -> &[f64] {
@@ -71,23 +240,30 @@ impl ReferenceStandard {
     }
 }
 
+/// Draws one slate of size `s` from inclusion probabilities `q`.
+pub type Sampler = fn(&[f64], usize, &mut SmallRng) -> Vec<usize>;
+
 /// Naive Slate MWU: the allocating mix → cap → scale pipeline rebuilt from
-/// scratch every round via the public simplex API, sampled with the
-/// allocating samplers, updated through a fresh multiplier vector. Uses the
-/// same slate-size / η derivation and the same importance-weight floor as
-/// `SlateMwu`.
+/// scratch every round, sampled by `sampler`, updated through a fresh
+/// multiplier vector. Uses the same slate-size / η derivation and the same
+/// importance-weight floor as `SlateMwu`.
 pub struct ReferenceSlate {
-    weights: WeightVector,
+    p: Vec<f64>,
     gamma: f64,
     s: usize,
     eta: f64,
-    sampling: SlateSampling,
+    sampler: Sampler,
     plan_q: Vec<f64>,
     last_plan: Vec<usize>,
 }
 
 impl ReferenceSlate {
+    /// The oracle of `SlateMwu`: systematic sampling by linear scan.
     pub fn new(k: usize, config: SlateConfig) -> Self {
+        Self::with_sampler(k, config, systematic_sample)
+    }
+
+    pub fn with_sampler(k: usize, config: SlateConfig, sampler: Sampler) -> Self {
         let s = config
             .slate_size
             .unwrap_or_else(|| ((config.gamma * k as f64).ceil() as usize).clamp(2, k))
@@ -96,11 +272,11 @@ impl ReferenceSlate {
             .eta
             .unwrap_or(2.0 * config.gamma * s as f64 / k as f64);
         Self {
-            weights: WeightVector::uniform(k),
+            p: vec![1.0 / k as f64; k],
             gamma: config.gamma,
             s,
             eta,
-            sampling: config.sampling,
+            sampler,
             plan_q: Vec::new(),
             last_plan: Vec::new(),
         }
@@ -108,20 +284,9 @@ impl ReferenceSlate {
 
     pub fn plan(&mut self, rng: &mut SmallRng) -> Vec<usize> {
         let s = self.s;
-        let mixed = self.weights.mix_uniform(self.gamma);
-        let capped = mixed.capped(1.0 / s as f64);
-        let q: Vec<f64> = capped
-            .probabilities()
-            .iter()
-            .map(|&p| (s as f64 * p).min(1.0))
-            .collect();
-        let slate = match self.sampling {
-            SlateSampling::Systematic => systematic_sample(&q, s, rng),
-            SlateSampling::ConvexDecomposition => {
-                let d = decompose_into_slates(&q, s);
-                sample_decomposition(&d, rng)
-            }
-        };
+        let capped = capped(&mix_uniform(&self.p, self.gamma), 1.0 / s as f64);
+        let q: Vec<f64> = capped.iter().map(|&p| (s as f64 * p).min(1.0)).collect();
+        let slate = (self.sampler)(&q, s, rng);
         self.plan_q = slate.iter().map(|&i| q[i]).collect();
         self.last_plan = slate.clone();
         slate
@@ -129,7 +294,7 @@ impl ReferenceSlate {
 
     pub fn update(&mut self, rewards: &[f64]) {
         assert_eq!(rewards.len(), self.last_plan.len());
-        let q_floor = 0.5 * self.gamma * self.s as f64 / self.weights.len() as f64;
+        let q_floor = 0.5 * self.gamma * self.s as f64 / self.p.len() as f64;
         let updates: Vec<(usize, f64)> = self
             .last_plan
             .iter()
@@ -140,11 +305,14 @@ impl ReferenceSlate {
                 (arm, (self.eta * g_hat).exp())
             })
             .collect();
-        self.weights.scale_many(&updates);
+        for (arm, f) in updates {
+            self.p[arm] = (self.p[arm] * f).max(1e-300);
+        }
+        renormalize(&mut self.p);
     }
 
-    pub fn weights(&self) -> &WeightVector {
-        &self.weights
+    pub fn probabilities(&self) -> &[f64] {
+        &self.p
     }
 }
 
@@ -234,6 +402,7 @@ mod proptests {
     use super::*;
     use crate::slate::SlateMwu;
     use crate::standard::{StandardConfig, StandardMwu};
+    use crate::weights::WeightVector;
     use crate::{DistributedMwu, MwuAlgorithm};
     use proptest::prelude::*;
     use rand::SeedableRng;
@@ -280,16 +449,10 @@ mod proptests {
             seed in 0u64..1_000_000,
             k in 4usize..40,
             slate_size in 2usize..6,
-            decomp in any::<bool>(),
         ) {
             prop_assume!(slate_size <= k);
             let config = SlateConfig {
                 slate_size: Some(slate_size),
-                sampling: if decomp {
-                    SlateSampling::ConvexDecomposition
-                } else {
-                    SlateSampling::Systematic
-                },
                 ..SlateConfig::default()
             };
             let mut alg = SlateMwu::new(k, config);
@@ -305,7 +468,7 @@ mod proptests {
                 reference.update(&rewards);
                 prop_assert_eq!(
                     bits(&alg.probabilities()),
-                    bits(reference.weights().probabilities())
+                    bits(reference.probabilities())
                 );
             }
         }
@@ -328,6 +491,46 @@ mod proptests {
                 alg.update(&rewards, &mut r1);
                 reference.update(&rewards, &mut r2);
                 prop_assert_eq!(alg.counts(), reference.counts());
+            }
+        }
+
+        // §II-C: the capped vector lies in the slate hull. Whatever the
+        // production plan kernel emits, `q = s·p` decomposes into slates
+        // whose coefficients sum to 1 and rebuild `q`.
+        #[test]
+        fn decomposition_reconstructs_q_exactly(
+            ws in prop::collection::vec(1e-6f64..1e6, 1..24),
+            s_raw in 1usize..6,
+            gamma in 0.0f64..0.5,
+        ) {
+            let k = ws.len();
+            let s = s_raw.min(k);
+            let mut fixed = Vec::new();
+            let mut capped = WeightVector::uniform(1);
+            WeightVector::from_weights(&ws).mix_capped_into(
+                gamma,
+                1.0 / s as f64,
+                &mut fixed,
+                &mut capped,
+            );
+            let q: Vec<f64> =
+                capped.probabilities().iter().map(|&p| (s as f64 * p).min(1.0)).collect();
+            let total: f64 = q.iter().sum();
+            prop_assert!((total - s as f64).abs() < 1e-6, "q sums to {}", total);
+
+            let d = decompose_into_slates(&q, s);
+            let lambda_sum: f64 = d.iter().map(|(l, _)| l).sum();
+            prop_assert!((lambda_sum - 1.0).abs() < 1e-6, "lambda sum {}", lambda_sum);
+            let mut recon = vec![0.0; k];
+            for (lambda, slate) in &d {
+                prop_assert_eq!(slate.len(), s);
+                prop_assert!(*lambda >= -1e-12);
+                for &i in slate {
+                    recon[i] += lambda;
+                }
+            }
+            for i in 0..k {
+                prop_assert!((recon[i] - q[i]).abs() < 1e-6, "arm {}: {} vs {}", i, recon[i], q[i]);
             }
         }
     }

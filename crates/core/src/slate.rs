@@ -10,22 +10,20 @@
 //! in the convex hull of the slate indicator vectors and can be decomposed
 //! into a convex combination of at most `k` slates in `O(k²)` time.
 //!
-//! This module implements both that decomposition
-//! ([`decompose_into_slates`]) and the operationally-equivalent systematic
-//! sampling procedure ([`systematic_sample`]) which achieves the same
-//! per-arm inclusion probabilities in `O(k)` per draw; the default
-//! configuration uses systematic sampling, and `bench_round` times both
-//! (its `slate` and `slate-decomp` cells).
+//! This module draws each slate by systematic sampling instead
+//! ([`systematic_sample_with_scratch`]): every arm enters the slate with
+//! the same probability `q_i` as under the decomposition, at `O(k + s log k)`
+//! per draw (EXPERIMENTS.md, deviation 7). The decomposition survives only
+//! as a test oracle, where a property test checks that every capped vector
+//! the plan kernel produces decomposes exactly into slates.
 //!
 //! ## Round-kernel allocation discipline
 //!
 //! One `plan` + `update` round performs zero heap allocations in the steady
-//! state: the mix/cap/inclusion pipeline writes into persistent scratch
-//! vectors owned by [`SlateMwu`], the samplers write into the reused plan
-//! buffer, and the convex decomposition peels into a flat, pre-reserved
-//! [`DecompScratch`]. The allocating public functions remain as thin
-//! wrappers over the scratch kernels, so both forms perform bit-identical
-//! float operations (see `docs/PERFORMANCE.md`).
+//! state: the fused mix-and-cap kernel ([`WeightVector::mix_capped_into`])
+//! and the sampler write into persistent scratch owned by [`SlateMwu`], and
+//! the update batches its multipliers into one
+//! [`WeightVector::scale_many`] (see `docs/PERFORMANCE.md`).
 
 use crate::convergence::{ConvergenceCriterion, ConvergenceState};
 use crate::cost::Variant;
@@ -36,15 +34,15 @@ use rand::Rng;
 use serde::{Deserialize, Error, Serialize, Value};
 
 /// How the slate is drawn from the capped inclusion probabilities.
+///
+/// Systematic sampling is the only sampler; the field persists so every
+/// Slate checkpoint and daemon `session.json` keeps its
+/// `"sampling":"Systematic"` entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SlateSampling {
-    /// Systematic (stratified) sampling: `O(k)` per draw, inclusion
-    /// probability of arm `i` exactly `q_i`. Default.
+    /// Systematic (stratified) sampling: inclusion probability of arm `i`
+    /// exactly `q_i`.
     Systematic,
-    /// Full convex decomposition of `q` into slate vertices, then sample a
-    /// vertex: `O(k²)` per draw. Matches the paper's description literally;
-    /// used by tests and `bench_round`.
-    ConvexDecomposition,
 }
 
 /// Configuration for [`SlateMwu`].
@@ -76,7 +74,7 @@ pub struct SlateConfig {
     /// Quiet-streak length if stabilization-based convergence is wanted
     /// instead (ablation); `0` (default) selects the cap-saturation rule.
     pub stability_window: usize,
-    /// Sampling backend.
+    /// Sampling backend (one variant; see [`SlateSampling`]).
     pub sampling: SlateSampling,
 }
 
@@ -89,58 +87,6 @@ impl Default for SlateConfig {
             tolerance: crate::convergence::DEFAULT_TOLERANCE,
             stability_window: 0,
             sampling: SlateSampling::Systematic,
-        }
-    }
-}
-
-/// Reusable working storage for the greedy convex decomposition.
-///
-/// The slates are stored flattened (`slates[j·s .. (j+1)·s]` is slate `j`,
-/// weighted by `lambdas[j]`), so one decomposition touches exactly four
-/// persistent vectors and allocates nothing once their capacity has grown to
-/// the worst case (reserved up front by [`decompose_into_scratch`]).
-#[derive(Debug, Clone, Default)]
-struct DecompScratch {
-    /// Residual inclusion mass per arm.
-    r: Vec<f64>,
-    /// Index permutation, re-sorted by residual each peeling step.
-    order: Vec<usize>,
-    /// Convex coefficients λ_j.
-    lambdas: Vec<f64>,
-    /// Flattened slates, stride `s`.
-    slates: Vec<usize>,
-}
-
-impl DecompScratch {
-    /// Drop all held state, keeping allocations.
-    fn clear(&mut self) {
-        self.r.clear();
-        self.order.clear();
-        self.lambdas.clear();
-        self.slates.clear();
-    }
-
-    /// Number of `(λ, slate)` entries currently held.
-    fn len(&self) -> usize {
-        self.lambdas.len()
-    }
-
-    /// Draw one slate (vertex sampled ∝ λ) into `out`. Performs the same
-    /// RNG draw and float operations as [`sample_decomposition`].
-    fn sample_into(&self, s: usize, rng: &mut SmallRng, out: &mut Vec<usize>) {
-        let total: f64 = self.lambdas.iter().sum();
-        let mut u: f64 = rng.gen::<f64>() * total;
-        out.clear();
-        for (j, &lambda) in self.lambdas.iter().enumerate() {
-            if u < lambda {
-                out.extend_from_slice(&self.slates[j * s..(j + 1) * s]);
-                return;
-            }
-            u -= lambda;
-        }
-        // Rounding tail: the last slate (mirrors `sample_decomposition`).
-        if let Some(j) = self.len().checked_sub(1) {
-            out.extend_from_slice(&self.slates[j * s..(j + 1) * s]);
         }
     }
 }
@@ -187,8 +133,6 @@ pub struct SlateMwu {
     sys_acc: Vec<f64>,
     /// Scratch: batched `(arm, multiplier)` pairs for `update`.
     update_scratch: Vec<(usize, f64)>,
-    /// Scratch: convex-decomposition working set (ConvexDecomposition mode).
-    decomp: DecompScratch,
 }
 
 impl SlateMwu {
@@ -251,7 +195,6 @@ impl SlateMwu {
             cap_fixed: Vec::with_capacity(k),
             sys_acc: Vec::with_capacity(k),
             update_scratch: Vec::with_capacity(s),
-            decomp: DecompScratch::default(),
         }
     }
 
@@ -272,7 +215,6 @@ impl SlateMwu {
         self.cap_fixed.clear();
         self.sys_acc.clear();
         self.update_scratch.clear();
-        self.decomp.clear();
     }
 
     /// The configuration in force.
@@ -313,21 +255,6 @@ impl SlateMwu {
     pub fn inclusion_floor(&self) -> f64 {
         0.5 * self.config.gamma * self.slate_size as f64 / self.weights.len() as f64
     }
-
-    /// Inclusion probabilities `q_i = s·p_i^{capped}` from the current
-    /// weights: the chance each arm appears in the next slate.
-    ///
-    /// Allocating convenience; the plan path computes the same values into
-    /// persistent scratch.
-    pub fn inclusion_probabilities(&self) -> Vec<f64> {
-        let k = self.weights.len();
-        let s = self.slate_size;
-        let mixed = self.weights.mix_uniform(self.config.gamma);
-        let capped = mixed.capped(1.0 / s as f64);
-        (0..k)
-            .map(|i| (s as f64 * capped.get(i)).min(1.0))
-            .collect()
-    }
 }
 
 impl MwuAlgorithm for SlateMwu {
@@ -338,39 +265,29 @@ impl MwuAlgorithm for SlateMwu {
     fn plan(&mut self, rng: &mut SmallRng) -> &[usize] {
         let s = self.slate_size;
         // Inclusion pipeline, all in persistent scratch: mix the exploration
-        // floor in, cap at 1/s (one fused pass), scale by s. Same float
-        // operations as `inclusion_probabilities()`.
+        // floor in, cap at 1/s (one fused pass), scale by s.
         self.weights.mix_capped_into(
             self.config.gamma,
             1.0 / s as f64,
             &mut self.cap_fixed,
             &mut self.capped_scratch,
         );
-        let capped = &self.capped_scratch;
         self.inclusion.clear();
         self.inclusion.extend(
-            capped
+            self.capped_scratch
                 .probabilities()
                 .iter()
                 .map(|&p| (s as f64 * p).min(1.0)),
         );
         {
             let _span = crate::prof::span(crate::prof::Phase::Sample);
-            match self.config.sampling {
-                SlateSampling::Systematic => {
-                    systematic_sample_with_scratch(
-                        &self.inclusion,
-                        s,
-                        rng,
-                        &mut self.sys_acc,
-                        &mut self.plan_buf,
-                    );
-                }
-                SlateSampling::ConvexDecomposition => {
-                    decompose_into_scratch(&self.inclusion, s, &mut self.decomp);
-                    self.decomp.sample_into(s, rng, &mut self.plan_buf);
-                }
-            }
+            systematic_sample_with_scratch(
+                &self.inclusion,
+                s,
+                rng,
+                &mut self.sys_acc,
+                &mut self.plan_buf,
+            );
         }
         self.plan_q.clear();
         for &i in &self.plan_buf {
@@ -492,74 +409,24 @@ impl Deserialize for SlateMwu {
             cap_fixed: Vec::with_capacity(k),
             sys_acc: Vec::with_capacity(k),
             update_scratch: Vec::with_capacity(slate_size),
-            decomp: DecompScratch::default(),
         })
     }
 }
 
 /// Systematic sampling of a size-`s` subset with inclusion probabilities
-/// exactly `q` (requires `Σq = s` and `0 ≤ q_i ≤ 1`).
+/// exactly `q` (requires `Σq = s` and `0 ≤ q_i ≤ 1`): the `SlateMwu` plan
+/// sampler.
 ///
 /// One uniform draw `u` places `s` equally-spaced points `u, u+1, …, u+s−1`
 /// on the cumulative-sum axis of `q`; the arms whose cumulative intervals
-/// contain a point are selected. `O(k)` time, `O(s)` output.
-pub fn systematic_sample(q: &[f64], s: usize, rng: &mut SmallRng) -> Vec<usize> {
-    let mut out = Vec::with_capacity(s);
-    systematic_sample_into(q, s, rng, &mut out);
-    out
-}
-
-/// [`systematic_sample`] into a reused output buffer (cleared first): the
-/// allocation-free form used by the `SlateMwu` plan path. Same RNG draw,
-/// same float operations, same selected arms.
-pub fn systematic_sample_into(q: &[f64], s: usize, rng: &mut SmallRng, out: &mut Vec<usize>) {
-    // Validation only in debug builds: the summation is a serial FP
-    // dependency chain as long as the sampling scan itself, and the
-    // optimizer is not guaranteed to eliminate it through the iterator.
-    #[cfg(debug_assertions)]
-    {
-        debug_assert!(q.iter().all(|&x| (-1e-9..=1.0 + 1e-9).contains(&x)));
-        let total: f64 = q.iter().sum();
-        debug_assert!(
-            (total - s as f64).abs() < 1e-6,
-            "inclusion probabilities must sum to s (got {total}, s={s})"
-        );
-    }
-    let u: f64 = rng.gen::<f64>();
-    out.clear();
-    let mut acc = 0.0;
-    let mut next = u; // next sampling point
-    for (i, &qi) in q.iter().enumerate() {
-        acc += qi.max(0.0);
-        while next < acc - 1e-15 && out.len() < s {
-            out.push(i);
-            next += 1.0;
-        }
-    }
-    // Floating-point slack: pad from the end if a point fell off the axis.
-    let mut fill = q.len();
-    while out.len() < s && fill > 0 {
-        fill -= 1;
-        if !out.contains(&fill) {
-            out.push(fill);
-        }
-    }
-}
-
-/// [`systematic_sample_into`] with caller-provided prefix-sum scratch: the
-/// round-kernel form used by `SlateMwu`.
-///
-/// The linear scan interleaves the serial `acc += q_i` dependency chain with
-/// a data-dependent branch per arm; this form first materializes the prefix
-/// sums (the *same* `acc += q_i.max(0.0)` additions, in the same order, so
-/// every cumulative value is bit-identical) and then locates each of the `s`
-/// sampling points by binary search over the same `next < acc_i − 1e-15`
-/// boundary predicate. The prefix sums are non-decreasing, so the predicate
-/// is monotone in `i` and the first-crossing index found by
-/// `partition_point` is exactly the arm at which the linear scan pushes that
-/// point — including the duplicate-push and fell-off-the-axis edge cases.
-/// The sampling points themselves advance by the same iterated `next += 1.0`
-/// (not `u + j`, whose single rounding can differ from the iterated sum).
+/// contain a point are selected. The prefix sums go into `acc_scratch`
+/// (`acc += q_i.max(0.0)`, in index order) and each point is located by
+/// binary search over the `next < acc_i − 1e-15` boundary predicate, which
+/// is monotone in `i`, so `partition_point` finds exactly the arm a linear
+/// scan of the same sums would push, including the duplicate-push and
+/// fell-off-the-axis edge cases (the test oracle is that linear scan). The
+/// points advance by the iterated `next += 1.0`, not `u + j`, whose single
+/// rounding can differ from the iterated sum. `out` is cleared first.
 pub fn systematic_sample_with_scratch(
     q: &[f64],
     s: usize,
@@ -605,113 +472,21 @@ pub fn systematic_sample_with_scratch(
     }
 }
 
-/// Convex decomposition of scaled inclusion probabilities into slates.
-///
-/// Given `q` with `Σq = s` and `0 ≤ q_i ≤ 1`, returns `(λ_j, S_j)` pairs with
-/// `Σλ_j = 1`, `|S_j| = s` and `Σ_j λ_j·1{i ∈ S_j} = q_i` — the decomposition
-/// the paper cites as requiring `O(k²)` time (§II-C).
-///
-/// Greedy peeling: repeatedly select the `s` currently-largest residuals as
-/// a slate and peel off the largest coefficient `λ` that keeps the residual
-/// problem feasible (every residual within `[0, B]` for remaining budget
-/// `B`). Each step zeroes a residual or pins one to the budget, so at most
-/// `2k` slates are produced.
-pub fn decompose_into_slates(q: &[f64], s: usize) -> Vec<(f64, Vec<usize>)> {
-    let mut sc = DecompScratch::default();
-    decompose_into_scratch(q, s, &mut sc);
-    (0..sc.len())
-        .map(|j| (sc.lambdas[j], sc.slates[j * s..(j + 1) * s].to_vec()))
-        .collect()
-}
-
-/// The scratch-buffer kernel behind [`decompose_into_slates`]: peels into
-/// `sc`'s flat vectors, allocating nothing once their capacity has grown to
-/// the `2k + 3` worst case (reserved on entry).
-fn decompose_into_scratch(q: &[f64], s: usize, sc: &mut DecompScratch) {
-    let k = q.len();
-    assert!(s >= 1 && s <= k, "slate size {s} out of range for k={k}");
-    let total: f64 = q.iter().sum();
-    assert!(
-        (total - s as f64).abs() < 1e-6,
-        "q must sum to s (got {total})"
-    );
-    let DecompScratch {
-        r,
-        order,
-        lambdas,
-        slates,
-    } = sc;
-    r.clear();
-    r.extend(q.iter().map(|&x| x.clamp(0.0, 1.0)));
-    order.clear();
-    order.extend(0..k);
-    lambdas.clear();
-    slates.clear();
-    lambdas.reserve(2 * k + 3);
-    slates.reserve((2 * k + 3) * s);
-    let mut budget = 1.0f64;
-
-    for _ in 0..2 * k + 2 {
-        if budget <= 1e-12 {
-            break;
-        }
-        // Sort indices by residual, descending; the slate is the top s.
-        order.sort_unstable_by(|&a, &b| r[b].total_cmp(&r[a]));
-        let min_in = order[..s]
-            .iter()
-            .map(|&i| r[i])
-            .fold(f64::INFINITY, f64::min);
-        // Largest residual outside the slate (0 if none).
-        let max_out = if s < k { r[order[s]] } else { 0.0 };
-        // λ must not drive any in-slate residual negative (≤ min_in) and
-        // must not leave an out-of-slate residual above the shrunken budget
-        // (≥ budget − max_out ⇒ λ ≤ budget − max_out is the *upper* bound
-        // ... i.e. budget − λ ≥ max_out).
-        let lambda = min_in.min(budget - max_out).min(budget).max(0.0);
-        if lambda <= 1e-15 {
-            // Degenerate (numerical dust): spend the remaining budget on the
-            // current top-s slate and stop.
-            lambdas.push(budget);
-            slates.extend_from_slice(&order[..s]);
-            budget = 0.0;
-            break;
-        }
-        for &i in &order[..s] {
-            r[i] -= lambda;
-        }
-        budget -= lambda;
-        lambdas.push(lambda);
-        slates.extend_from_slice(&order[..s]);
-    }
-    if budget > 1e-9 {
-        // Should be unreachable; keep total mass consistent regardless.
-        order.sort_unstable_by(|&a, &b| r[b].total_cmp(&r[a]));
-        lambdas.push(budget);
-        slates.extend_from_slice(&order[..s]);
-    }
-}
-
-/// Draw one slate from a convex decomposition (vertex sampled ∝ λ).
-pub fn sample_decomposition(decomposition: &[(f64, Vec<usize>)], rng: &mut SmallRng) -> Vec<usize> {
-    let total: f64 = decomposition.iter().map(|(l, _)| *l).sum();
-    let mut u: f64 = rng.gen::<f64>() * total;
-    for (lambda, slate) in decomposition {
-        if u < *lambda {
-            return slate.clone();
-        }
-        u -= lambda;
-    }
-    decomposition
-        .last()
-        .map(|(_, s)| s.clone())
-        .unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bandit::{random_values, Bandit, ValueBandit};
+    use crate::reference::{
+        decompose_into_slates, sample_decomposition, systematic_sample, ReferenceSlate,
+    };
     use rand::SeedableRng;
+
+    /// The production sampler with fresh scratch.
+    fn sample(q: &[f64], s: usize, rng: &mut SmallRng) -> Vec<usize> {
+        let mut out = Vec::new();
+        systematic_sample_with_scratch(q, s, rng, &mut Vec::new(), &mut out);
+        out
+    }
 
     fn drive(alg: &mut SlateMwu, bandit: &mut ValueBandit, rounds: usize, seed: u64) {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -757,7 +532,7 @@ mod tests {
         let n = 40_000;
         let mut counts = vec![0usize; q.len()];
         for _ in 0..n {
-            let slate = systematic_sample(&q, s, &mut rng);
+            let slate = sample(&q, s, &mut rng);
             assert_eq!(slate.len(), s);
             for i in slate {
                 counts[i] += 1;
@@ -775,13 +550,22 @@ mod tests {
 
     #[test]
     fn systematic_sample_into_matches_allocating_form() {
-        let q = vec![0.9, 0.5, 0.3, 0.2, 0.1];
+        // One pair of scratch buffers reused across inputs of different
+        // lengths and slate sizes must leak nothing between calls: each
+        // draw equals the allocating oracle's.
+        let cases = [
+            (vec![0.25; 8], 2),
+            (vec![0.9, 0.5, 0.3, 0.2, 0.1], 2),
+            (vec![0.5; 12], 6),
+        ];
         let mut r1 = SmallRng::seed_from_u64(21);
         let mut r2 = SmallRng::seed_from_u64(21);
-        let mut buf = vec![99usize; 7]; // stale contents must be discarded
-        for _ in 0..2000 {
-            systematic_sample_into(&q, 2, &mut r1, &mut buf);
-            assert_eq!(buf, systematic_sample(&q, 2, &mut r2));
+        let (mut acc, mut buf) = (Vec::new(), Vec::new());
+        for _ in 0..500 {
+            for (q, s) in &cases {
+                systematic_sample_with_scratch(q, *s, &mut r1, &mut acc, &mut buf);
+                assert_eq!(buf, systematic_sample(q, *s, &mut r2), "q={q:?}");
+            }
         }
     }
 
@@ -808,15 +592,15 @@ mod tests {
             let mut r2 = SmallRng::seed_from_u64(33);
             let mut acc = vec![5.0; 2]; // stale contents must be discarded
             let mut fast = vec![99usize; 7];
-            let mut slow = Vec::new();
             for _ in 0..2000 {
                 systematic_sample_with_scratch(&q, s, &mut r1, &mut acc, &mut fast);
-                systematic_sample_into(&q, s, &mut r2, &mut slow);
-                assert_eq!(fast, slow, "q={q:?} s={s}");
+                assert_eq!(fast, systematic_sample(&q, s, &mut r2), "q={q:?} s={s}");
             }
         }
     }
 
+    // §II-C's decomposition is a test oracle (`crate::reference`); these
+    // check the oracle itself.
     #[test]
     fn decomposition_is_convex_and_exact() {
         let q = vec![1.0, 0.7, 0.5, 0.4, 0.25, 0.15];
@@ -857,30 +641,6 @@ mod tests {
     }
 
     #[test]
-    fn decomposition_scratch_reuse_is_stable() {
-        // Re-running the scratch kernel over different inputs must not leak
-        // state between calls: each result equals a fresh decomposition.
-        let mut sc = DecompScratch::default();
-        for seed in 0..20u64 {
-            let raw = random_values(12, seed);
-            let sum: f64 = raw.iter().sum();
-            let q: Vec<f64> = raw.iter().map(|&x| (3.0 * x / sum).min(1.0)).collect();
-            // Repair the sum to exactly s by padding the deficit onto a
-            // synthetic uniform mix — easier: renormalize via capped weights.
-            let w = WeightVector::from_weights(&q);
-            let capped = w.capped(1.0 / 3.0);
-            let q: Vec<f64> = capped.probabilities().iter().map(|&p| 3.0 * p).collect();
-            decompose_into_scratch(&q, 3, &mut sc);
-            let fresh = decompose_into_slates(&q, 3);
-            assert_eq!(sc.len(), fresh.len(), "seed {seed}");
-            for (j, (lambda, slate)) in fresh.iter().enumerate() {
-                assert_eq!(sc.lambdas[j].to_bits(), lambda.to_bits(), "seed {seed}");
-                assert_eq!(&sc.slates[j * 3..(j + 1) * 3], slate.as_slice());
-            }
-        }
-    }
-
-    #[test]
     fn decomposition_sampler_matches_inclusion() {
         let q = vec![0.8, 0.6, 0.4, 0.2];
         let d = decompose_into_slates(&q, 2);
@@ -895,22 +655,6 @@ mod tests {
         for (i, &c) in counts.iter().enumerate() {
             let rate = c as f64 / n as f64;
             assert!((rate - q[i]).abs() < 0.02, "arm {i}: {rate} vs {}", q[i]);
-        }
-    }
-
-    #[test]
-    fn scratch_sampler_matches_sample_decomposition() {
-        let q = vec![0.8, 0.6, 0.4, 0.2];
-        let s = 2;
-        let d = decompose_into_slates(&q, s);
-        let mut sc = DecompScratch::default();
-        decompose_into_scratch(&q, s, &mut sc);
-        let mut r1 = SmallRng::seed_from_u64(9);
-        let mut r2 = SmallRng::seed_from_u64(9);
-        let mut buf = Vec::new();
-        for _ in 0..5000 {
-            sc.sample_into(s, &mut r1, &mut buf);
-            assert_eq!(buf, sample_decomposition(&d, &mut r2));
         }
     }
 
@@ -936,7 +680,7 @@ mod tests {
             }
         }
         for _ in 0..20_000 {
-            for i in systematic_sample(&q, s, &mut rng) {
+            for i in sample(&q, s, &mut rng) {
                 assert!(q[i] > 0.0, "zero-probability arm {i} sampled");
             }
         }
@@ -960,25 +704,29 @@ mod tests {
 
     #[test]
     fn both_samplers_find_good_arms() {
-        for sampling in [
-            SlateSampling::Systematic,
-            SlateSampling::ConvexDecomposition,
+        // Production systematic sampling, and the same learner drawing its
+        // slates from §II-C's decomposition (the test oracle).
+        let values = random_values(30, 11);
+        let best = values.iter().copied().fold(0.0, f64::max);
+        let mut alg = SlateMwu::new(30, SlateConfig::default());
+        drive(&mut alg, &mut ValueBandit::exact(values.clone()), 5000, 7);
+        let mut oracle = ReferenceSlate::with_sampler(30, SlateConfig::default(), |q, s, rng| {
+            sample_decomposition(&decompose_into_slates(q, s), rng)
+        });
+        let mut rng = SmallRng::seed_from_u64(7);
+        for _ in 0..5000 {
+            let rewards: Vec<f64> = oracle.plan(&mut rng).iter().map(|&a| values[a]).collect();
+            oracle.update(&rewards);
+        }
+        let oracle_leader = WeightVector::from_weights(oracle.probabilities()).argmax();
+        for (sampler, leader) in [
+            ("systematic", alg.leader()),
+            ("decomposition", oracle_leader),
         ] {
-            let mut alg = SlateMwu::new(
-                30,
-                SlateConfig {
-                    sampling,
-                    ..SlateConfig::default()
-                },
-            );
-            let values = random_values(30, 11);
-            let mut bandit = ValueBandit::exact(values);
-            drive(&mut alg, &mut bandit, 5000, 7);
-            let v = bandit.expected_value(alg.leader());
+            let v = values[leader];
             assert!(
-                v > 0.75 * bandit.best_value(),
-                "{sampling:?}: leader value {v} vs best {}",
-                bandit.best_value()
+                v > 0.75 * best,
+                "{sampler}: leader value {v} vs best {best}"
             );
         }
     }
@@ -1004,7 +752,8 @@ mod tests {
         let mut alg = SlateMwu::new(40, SlateConfig::default());
         let mut bandit = ValueBandit::bernoulli(random_values(40, 2));
         drive(&mut alg, &mut bandit, 200, 3);
-        let q = alg.inclusion_probabilities();
+        alg.plan(&mut SmallRng::seed_from_u64(4));
+        let q = &alg.inclusion;
         let sum: f64 = q.iter().sum();
         assert!((sum - alg.slate_size() as f64).abs() < 1e-6);
         assert!(q.iter().all(|&x| x <= 1.0 + 1e-9));

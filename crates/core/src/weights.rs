@@ -9,33 +9,25 @@
 //! For the Slate variant the vector must additionally be *capped*: no
 //! coordinate may exceed `1/s` (where `s` is the slate size) so that the
 //! scaled vector `q = s·p` lies inside the convex hull of the slate
-//! indicator vectors (§II-C of the paper). [`WeightVector::capped`]
-//! implements the water-filling cap-and-renormalize step.
+//! indicator vectors (§II-C of the paper).
+//! [`WeightVector::mix_capped_into`] is that step, fused with Slate's
+//! exploration mix: one water-filling pass into caller-owned scratch.
 //!
 //! ## Allocation discipline
 //!
-//! Every simplex operation that produces a vector has an `_into` variant
-//! ([`WeightVector::mix_uniform_into`], [`WeightVector::capped_into`],
-//! [`WeightVector::probabilities_into`]) that writes into caller-owned
-//! scratch instead of allocating; the allocating forms delegate to them, so
-//! both paths perform bit-identical float operations. [`WeightVector::sample`]
-//! consults a cumulative-sum cache (built on demand with
-//! [`WeightVector::ensure_cdf`], cleared by every mutation) and falls back
-//! to the linear scan when the cache is absent; both return the same index
-//! for the same draw. See `docs/PERFORMANCE.md` for the ownership rules.
+//! The round paths allocate nothing: [`WeightVector::mix_capped_into`] and
+//! [`WeightVector::probabilities_into`] write into caller-owned scratch,
+//! and [`WeightVector::sample_mixed`] draws from the γ-mixture without
+//! materializing it. See `docs/PERFORMANCE.md` for the ownership rules.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Error, Serialize, Value};
 
 /// A probability vector over `k` options with multiplicative-update support.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WeightVector {
     p: Vec<f64>,
-    /// Cached cumulative sums of `p` (`cdf[i] = p_0 + … + p_i`), used by
-    /// [`Self::sample`] for O(log k) draws. Empty means "not built"; every
-    /// mutation clears it. Excluded from serialization and equality.
-    cdf: Vec<f64>,
 }
 
 impl WeightVector {
@@ -48,7 +40,6 @@ impl WeightVector {
         assert!(k > 0, "weight vector needs at least one option");
         Self {
             p: vec![1.0 / k as f64; k],
-            cdf: Vec::new(),
         }
     }
 
@@ -57,7 +48,6 @@ impl WeightVector {
     pub fn reset_uniform(&mut self) {
         let k = self.p.len();
         self.p.fill(1.0 / k as f64);
-        self.cdf.clear();
     }
 
     /// Build from arbitrary non-negative weights (normalized on entry).
@@ -77,7 +67,6 @@ impl WeightVector {
         }
         Self {
             p: weights.iter().map(|w| w / sum).collect(),
-            cdf: Vec::new(),
         }
     }
 
@@ -167,82 +156,21 @@ impl WeightVector {
         self.renormalize();
     }
 
-    /// Mix with the uniform distribution:
-    /// `p ← (1−γ)·p + γ/k` — the exploration floor used by Slate.
-    pub fn mix_uniform(&self, gamma: f64) -> WeightVector {
-        let mut out = WeightVector {
-            p: Vec::with_capacity(self.p.len()),
-            cdf: Vec::new(),
-        };
-        self.mix_uniform_into(gamma, &mut out);
-        out
-    }
-
-    /// [`Self::mix_uniform`] into caller scratch: `out`'s previous contents
-    /// are discarded and its sample cache cleared. Performs the same float
-    /// operations as the allocating form.
-    pub fn mix_uniform_into(&self, gamma: f64, out: &mut WeightVector) {
-        debug_assert!((0.0..=1.0).contains(&gamma));
-        let k = self.p.len() as f64;
-        out.cdf.clear();
-        out.p.clear();
-        out.p
-            .extend(self.p.iter().map(|&p| (1.0 - gamma) * p + gamma / k));
-    }
-
-    /// Cap-and-renormalize: the closest vector (in the water-filling sense)
-    /// with every coordinate ≤ `cap`, still summing to 1.
+    /// Mix with the uniform distribution, then cap and renormalize: writes
+    /// the water-filled projection of `(1−γ)·p + γ/k` onto the capped
+    /// simplex (every coordinate ≤ `cap`, summing to 1) into `out`. This is
+    /// the Slate plan kernel, run with `cap = 1/s` so that `s · out` is a
+    /// valid vector of inclusion probabilities (each ≤ 1).
     ///
-    /// Used by Slate with `cap = 1/s` so that `s · p` is a valid vector of
-    /// inclusion probabilities (each ≤ 1). Mass removed from capped
-    /// coordinates is redistributed proportionally among the uncapped ones,
-    /// iterating until no coordinate exceeds the cap (at most `k` rounds,
-    /// each capping ≥ 1 new coordinate).
+    /// Mass removed from capped coordinates is redistributed proportionally
+    /// among the uncapped ones, iterating until no coordinate exceeds the
+    /// cap (at most `k` rounds, each capping ≥ 1 new coordinate). `fixed`
+    /// is the water-filling work buffer (one flag per coordinate); `fixed`
+    /// and `out` are cleared first, so only their capacity is reused. With
+    /// `γ = 0` the mix is the identity, so the call is a plain cap.
     ///
     /// # Panics
     /// Panics if `cap · k < 1` (the simplex has no point below the cap).
-    pub fn capped(&self, cap: f64) -> WeightVector {
-        let mut fixed = Vec::new();
-        let mut out = WeightVector {
-            p: Vec::with_capacity(self.p.len()),
-            cdf: Vec::new(),
-        };
-        self.capped_into(cap, &mut fixed, &mut out);
-        out
-    }
-
-    /// [`Self::capped`] into caller scratch. `fixed` is the water-filling
-    /// work buffer (one flag per coordinate) and `out` receives the capped
-    /// vector; both are cleared first, so only their capacity is reused.
-    /// Performs the same float operations as the allocating form.
-    pub fn capped_into(&self, cap: f64, fixed: &mut Vec<bool>, out: &mut WeightVector) {
-        let k = self.p.len();
-        assert!(
-            cap * k as f64 >= 1.0 - 1e-12,
-            "cap {cap} too small for {k} options"
-        );
-        out.cdf.clear();
-        if cap * k as f64 <= 1.0 + 1e-12 {
-            // Boundary cap == 1/k: the uniform vector is the only feasible
-            // point. Return it directly — water-filling here would divide
-            // a ~0 remainder by a ~0 free mass and let rounding decide
-            // whether the result lands on the simplex at all.
-            out.p.clear();
-            out.p.resize(k, 1.0 / k as f64);
-            return;
-        }
-        let p = &mut out.p;
-        p.clear();
-        p.extend_from_slice(&self.p);
-        water_fill(p, cap, fixed);
-        out.renormalize();
-    }
-
-    /// [`Self::capped_into`] with the γ-mix fused in: equivalent to
-    /// `self.mix_uniform(gamma).capped_into(cap, fixed, out)` but without
-    /// materializing the mixed vector — the mixed values are computed with
-    /// the identical float expression and water-filled in place. This is the
-    /// Slate plan kernel.
     pub fn mix_capped_into(
         &self,
         gamma: f64,
@@ -256,8 +184,11 @@ impl WeightVector {
             cap * k as f64 >= 1.0 - 1e-12,
             "cap {cap} too small for {k} options"
         );
-        out.cdf.clear();
         if cap * k as f64 <= 1.0 + 1e-12 {
+            // Boundary cap == 1/k: the uniform vector is the only feasible
+            // point. Return it directly — water-filling here would divide
+            // a ~0 remainder by a ~0 free mass and let rounding decide
+            // whether the result lands on the simplex at all.
             out.p.clear();
             out.p.resize(k, 1.0 / k as f64);
             return;
@@ -270,55 +201,11 @@ impl WeightVector {
         out.renormalize();
     }
 
-    /// Build the cumulative-sum cache used by [`Self::sample`], if absent.
-    ///
-    /// Call once after the weights settle for a round of repeated sampling;
-    /// any subsequent mutation (`scale_*`, `_into` writes) clears the cache
-    /// and `sample` falls back to the linear scan until it is rebuilt.
-    pub fn ensure_cdf(&mut self) {
-        if self.cdf.len() == self.p.len() {
-            return;
-        }
-        self.cdf.clear();
-        self.cdf.reserve(self.p.len());
-        let mut acc = 0.0;
-        for &p in &self.p {
-            acc += p;
-            self.cdf.push(acc);
-        }
-    }
-
-    /// Sample one option index proportional to probability.
-    ///
-    /// With a valid cumulative cache (see [`Self::ensure_cdf`]) this is a
-    /// binary search; otherwise a linear scan. Both accumulate the same
-    /// prefix sums in the same order, so for any draw `u` they return the
-    /// identical index (including the rounding tail, which maps to the last
-    /// option).
-    pub fn sample(&self, rng: &mut SmallRng) -> usize {
-        let u: f64 = rng.gen();
-        if self.cdf.len() == self.p.len() {
-            // First index whose cumulative sum exceeds u — the same index
-            // the linear scan below stops at.
-            return self.cdf.partition_point(|&c| c <= u).min(self.p.len() - 1);
-        }
-        let mut acc = 0.0;
-        for (i, &p) in self.p.iter().enumerate() {
-            acc += p;
-            if u < acc {
-                return i;
-            }
-        }
-        // Rounding tail: return the last option.
-        self.p.len() - 1
-    }
-
     /// Sample from the γ-uniform mixture `(1−γ)·p + γ/k` without
     /// materializing it: one uniform draw, one O(k) scan, zero allocation.
-    /// Performs the same float operations as
-    /// `self.mix_uniform(gamma).sample(rng)` (the accumulated terms are the
-    /// identical expressions, in the identical order), so the drawn index is
-    /// bit-for-bit the same — this is Exp3's allocation-free plan path.
+    /// The scan accumulates the mixed terms in index order and stops at the
+    /// first prefix sum above the draw; the rounding tail maps to the last
+    /// option. With `γ = 0` it samples `p` itself. This is Exp3's plan path.
     pub fn sample_mixed(&self, gamma: f64, rng: &mut SmallRng) -> usize {
         debug_assert!((0.0..=1.0).contains(&gamma));
         let k = self.p.len() as f64;
@@ -333,15 +220,8 @@ impl WeightVector {
         self.p.len() - 1
     }
 
-    /// Largest coordinate / cap diagnostics helper: true if some coordinate
-    /// exceeds `cap` by more than `eps`.
-    pub fn exceeds_cap(&self, cap: f64, eps: f64) -> bool {
-        self.p.iter().any(|&p| p > cap + eps)
-    }
-
     fn renormalize(&mut self) {
         let _span = crate::prof::span(crate::prof::Phase::Normalize);
-        self.cdf.clear();
         let sum: f64 = self.p.iter().sum();
         debug_assert!(sum.is_finite() && sum > 0.0, "degenerate weight sum {sum}");
         let inv = 1.0 / sum;
@@ -351,8 +231,8 @@ impl WeightVector {
     }
 }
 
-/// Water-filling onto the capped simplex, in place: the shared kernel of
-/// [`WeightVector::capped_into`] and [`WeightVector::mix_capped_into`].
+/// Water-filling onto the capped simplex, in place: the kernel of
+/// [`WeightVector::mix_capped_into`].
 ///
 /// Each round first runs a chain-free scan asking whether any free
 /// coordinate sits at or above the cap; only when one does is the
@@ -360,7 +240,8 @@ impl WeightVector {
 /// arithmetic, and the accounting pass accumulates `fixed_sum`/`free_sum`
 /// in the exact index order the original fused loop used, so the values
 /// written to `p` are bit-identical — the scan only skips work whose
-/// results the original discarded on its terminating pass.
+/// results the original discarded on its terminating pass (the test oracle
+/// is that fused loop).
 fn water_fill(p: &mut [f64], cap: f64, fixed: &mut Vec<bool>) {
     let _span = crate::prof::span(crate::prof::Phase::WaterFill);
     let k = p.len();
@@ -410,34 +291,21 @@ fn water_fill(p: &mut [f64], cap: f64, fixed: &mut Vec<bool>) {
     }
 }
 
-// The sample cache is derived state: equality, hashing and the serialized
-// form consider only the probabilities. (The vendored serde_derive has no
-// `#[serde(skip)]`, hence the manual impls.)
-impl PartialEq for WeightVector {
-    fn eq(&self, other: &Self) -> bool {
-        self.p == other.p
-    }
-}
-
-impl Serialize for WeightVector {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![("p".to_string(), self.p.to_value())])
-    }
-}
-
+// Deserialization rejects an empty vector, which no constructor can build.
 impl Deserialize for WeightVector {
     fn from_value(v: &Value) -> Result<Self, Error> {
         let p = Vec::<f64>::from_value(v.field("p"))?;
         if p.is_empty() {
             return Err(Error::custom("WeightVector: empty probability vector"));
         }
-        Ok(Self { p, cdf: Vec::new() })
+        Ok(Self { p })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
     use rand::SeedableRng;
 
     fn assert_simplex(w: &WeightVector) {
@@ -446,13 +314,19 @@ mod tests {
         assert!(w.probabilities().iter().all(|&p| p >= 0.0));
     }
 
-    /// A cache-less twin with bitwise-identical probabilities (bypasses
-    /// `from_weights`, whose normalizing division would perturb the values).
-    fn uncached_twin(w: &WeightVector) -> WeightVector {
-        WeightVector {
-            p: w.probabilities().to_vec(),
-            cdf: Vec::new(),
-        }
+    /// The plan kernel with no exploration mix (a plain cap), fresh scratch.
+    fn capped(w: &WeightVector, cap: f64) -> WeightVector {
+        let mut out = WeightVector::uniform(1);
+        w.mix_capped_into(0.0, cap, &mut Vec::new(), &mut out);
+        out
+    }
+
+    fn exceeds_cap(w: &WeightVector, cap: f64, eps: f64) -> bool {
+        w.probabilities().iter().any(|&p| p > cap + eps)
+    }
+
+    fn bits(p: &[f64]) -> Vec<u64> {
+        p.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
@@ -518,9 +392,9 @@ mod tests {
     #[test]
     fn capped_respects_cap_and_simplex() {
         let w = WeightVector::from_weights(&[100.0, 1.0, 1.0, 1.0]);
-        let c = w.capped(0.5);
+        let c = capped(&w, 0.5);
         assert_simplex(&c);
-        assert!(!c.exceeds_cap(0.5, 1e-9));
+        assert!(!exceeds_cap(&c, 0.5, 1e-9));
         // The capped coordinate sits exactly at the cap.
         assert!((c.get(0) - 0.5).abs() < 1e-9);
         // The rest keep their relative proportions.
@@ -532,9 +406,9 @@ mod tests {
         // After capping coord 0, coord 1 can itself exceed the cap and must
         // be capped in a second round.
         let w = WeightVector::from_weights(&[1000.0, 500.0, 1.0, 1.0, 1.0, 1.0]);
-        let c = w.capped(0.25);
+        let c = capped(&w, 0.25);
         assert_simplex(&c);
-        assert!(!c.exceeds_cap(0.25, 1e-9));
+        assert!(!exceeds_cap(&c, 0.25, 1e-9));
         assert!((c.get(0) - 0.25).abs() < 1e-9);
         assert!((c.get(1) - 0.25).abs() < 1e-9);
     }
@@ -542,7 +416,7 @@ mod tests {
     #[test]
     fn capped_noop_when_already_below_cap() {
         let w = WeightVector::uniform(10);
-        let c = w.capped(0.2);
+        let c = capped(&w, 0.2);
         for i in 0..10 {
             assert!((c.get(i) - 0.1).abs() < 1e-12);
         }
@@ -552,13 +426,15 @@ mod tests {
     #[should_panic]
     fn capped_infeasible_cap_panics() {
         let w = WeightVector::uniform(4);
-        let _ = w.capped(0.2); // 4 * 0.2 < 1
+        let _ = capped(&w, 0.2); // 4 * 0.2 < 1
     }
 
     #[test]
     fn mix_uniform_keeps_simplex_and_floors() {
+        // A cap of 1 never binds: the kernel reduces to the γ-mix.
         let w = WeightVector::from_weights(&[1.0, 0.0, 0.0, 0.0]);
-        let m = w.mix_uniform(0.2);
+        let mut m = WeightVector::uniform(1);
+        w.mix_capped_into(0.2, 1.0, &mut Vec::new(), &mut m);
         assert_simplex(&m);
         for i in 1..4 {
             assert!((m.get(i) - 0.05).abs() < 1e-12);
@@ -570,21 +446,13 @@ mod tests {
     fn into_variants_match_allocating_forms_bitwise() {
         let mut w = WeightVector::uniform(16);
         w.scale_all(|i| (i * i + 1) as f64);
-        // Scratch buffers deliberately pre-polluted (stale contents + caches)
-        // to prove the _into forms fully overwrite them.
-        let mut mixed = WeightVector::uniform(3);
-        mixed.ensure_cdf();
+        // Scratch buffers deliberately pre-polluted with stale contents to
+        // prove the _into forms fully overwrite them.
         let mut fixed = vec![true; 40];
         let mut capped = WeightVector::uniform(7);
-        capped.ensure_cdf();
-
-        w.mix_uniform_into(0.05, &mut mixed);
-        assert_eq!(mixed.probabilities(), w.mix_uniform(0.05).probabilities());
-        assert!(mixed.cdf.is_empty());
-
-        w.capped_into(0.125, &mut fixed, &mut capped);
-        assert_eq!(capped.probabilities(), w.capped(0.125).probabilities());
-        assert!(capped.cdf.is_empty());
+        w.mix_capped_into(0.05, 0.125, &mut fixed, &mut capped);
+        let allocating = reference::capped(&reference::mix_uniform(w.probabilities(), 0.05), 0.125);
+        assert_eq!(bits(capped.probabilities()), bits(&allocating));
 
         let mut probs = vec![9.0; 2];
         w.probabilities_into(&mut probs);
@@ -593,8 +461,8 @@ mod tests {
 
     #[test]
     fn mix_capped_into_matches_two_step_form_bitwise() {
-        // The fused plan kernel must reproduce mix_uniform → capped exactly,
-        // across uncapped, singly-capped and cascading-cap regimes.
+        // The fused plan kernel must reproduce the oracle's mix → cap
+        // exactly, across uncapped, singly-capped and cascading-cap regimes.
         for (weights, cap) in [
             (vec![1.0, 1.0, 1.0, 1.0, 1.0, 1.0], 0.3), // nothing capped
             (vec![60.0, 1.0, 1.0, 1.0, 1.0, 1.0], 0.3), // one coordinate capped
@@ -603,19 +471,16 @@ mod tests {
             let mut w = WeightVector::uniform(weights.len());
             w.scale_all(|i| weights[i]);
             for gamma in [0.0, 0.05, 0.5] {
-                let two_step = w.mix_uniform(gamma).capped(cap);
+                let two_step =
+                    reference::capped(&reference::mix_uniform(w.probabilities(), gamma), cap);
                 let mut fixed = vec![true; 2];
                 let mut fused = WeightVector::uniform(3);
-                fused.ensure_cdf();
                 w.mix_capped_into(gamma, cap, &mut fixed, &mut fused);
-                let a: Vec<u64> = fused.probabilities().iter().map(|x| x.to_bits()).collect();
-                let b: Vec<u64> = two_step
-                    .probabilities()
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect();
-                assert_eq!(a, b, "gamma={gamma} cap={cap}");
-                assert!(fused.cdf.is_empty());
+                assert_eq!(
+                    bits(fused.probabilities()),
+                    bits(&two_step),
+                    "gamma={gamma} cap={cap}"
+                );
             }
         }
     }
@@ -626,13 +491,11 @@ mod tests {
         w.scale_all(|i| (i + 1) as f64);
         let mut fixed = Vec::new();
         let mut out = WeightVector::uniform(2);
-        out.ensure_cdf();
-        w.capped_into(1.0 / 9.0, &mut fixed, &mut out);
+        w.mix_capped_into(0.05, 1.0 / 9.0, &mut fixed, &mut out);
         assert_eq!(
             out.probabilities(),
             WeightVector::uniform(9).probabilities()
         );
-        assert!(out.cdf.is_empty());
     }
 
     #[test]
@@ -640,7 +503,9 @@ mod tests {
         let w = WeightVector::from_weights(&[0.1, 0.9]);
         let mut rng = SmallRng::seed_from_u64(1);
         let n = 20_000;
-        let ones = (0..n).filter(|_| w.sample(&mut rng) == 1).count();
+        let ones = (0..n)
+            .filter(|_| w.sample_mixed(0.0, &mut rng) == 1)
+            .count();
         let rate = ones as f64 / n as f64;
         assert!((rate - 0.9).abs() < 0.02, "rate {rate}");
     }
@@ -650,77 +515,7 @@ mod tests {
         let w = WeightVector::uniform(3);
         let mut rng = SmallRng::seed_from_u64(2);
         for _ in 0..1000 {
-            assert!(w.sample(&mut rng) < 3);
-        }
-    }
-
-    #[test]
-    fn cached_sample_matches_linear_scan() {
-        let mut w = WeightVector::from_weights(&[4.0, 1.0, 0.5, 2.5, 2.0, 0.0, 3.0]);
-        let twin = uncached_twin(&w);
-        w.ensure_cdf();
-        assert_eq!(w.cdf.len(), w.len());
-        let mut r1 = SmallRng::seed_from_u64(42);
-        let mut r2 = SmallRng::seed_from_u64(42);
-        for _ in 0..20_000 {
-            assert_eq!(w.sample(&mut r1), twin.sample(&mut r2));
-        }
-    }
-
-    #[test]
-    fn cached_sample_handles_rounding_tail() {
-        // Probabilities that sum well short of 1 force every u in the gap
-        // into the tail; cached and uncached must agree it maps to the last
-        // option.
-        let mut w = WeightVector {
-            p: vec![0.2, 0.2, 0.2],
-            cdf: Vec::new(),
-        };
-        let twin = uncached_twin(&w);
-        w.ensure_cdf();
-        let mut r1 = SmallRng::seed_from_u64(3);
-        let mut r2 = SmallRng::seed_from_u64(3);
-        let mut tails = 0;
-        for _ in 0..10_000 {
-            let a = w.sample(&mut r1);
-            assert_eq!(a, twin.sample(&mut r2));
-            assert!(a < 3);
-            if a == 2 {
-                tails += 1;
-            }
-        }
-        // u ∈ (0.4, 1.0) lands on index 2, so the tail is actually exercised.
-        assert!(tails > 4000, "tail hit only {tails} times");
-    }
-
-    #[test]
-    fn cdf_cache_invalidated_by_every_mutation() {
-        let mut w = WeightVector::from_weights(&[1.0, 2.0, 3.0, 4.0]);
-
-        w.ensure_cdf();
-        w.scale_all(|i| if i == 0 { 2.0 } else { 0.5 });
-        assert!(w.cdf.is_empty(), "scale_all must clear the cache");
-
-        w.ensure_cdf();
-        w.scale_one(2, 3.0);
-        assert!(w.cdf.is_empty(), "scale_one must clear the cache");
-
-        w.ensure_cdf();
-        w.scale_many(&[(0, 0.5), (3, 2.0)]);
-        assert!(w.cdf.is_empty(), "scale_many must clear the cache");
-
-        // Derived vectors start without a cache.
-        w.ensure_cdf();
-        assert!(w.capped(0.5).cdf.is_empty());
-        assert!(w.mix_uniform(0.1).cdf.is_empty());
-
-        // After any rebuild, sampling agrees with the uncached scan.
-        w.ensure_cdf();
-        let twin = uncached_twin(&w);
-        let mut r1 = SmallRng::seed_from_u64(7);
-        let mut r2 = SmallRng::seed_from_u64(7);
-        for _ in 0..10_000 {
-            assert_eq!(w.sample(&mut r1), twin.sample(&mut r2));
+            assert!(w.sample_mixed(0.0, &mut rng) < 3);
         }
     }
 
@@ -728,22 +523,30 @@ mod tests {
     fn sample_mixed_matches_materialized_mixture() {
         let mut w = WeightVector::uniform(11);
         w.scale_all(|i| ((i % 4) + 1) as f64);
-        let mixed = w.mix_uniform(0.05);
+        let mixed = reference::mix_uniform(w.probabilities(), 0.05);
+        // Linear scan over the materialized mixture, rounding tail last.
+        let scan = |u: f64| {
+            let mut acc = 0.0;
+            mixed.iter().position(|&p| {
+                acc += p;
+                u < acc
+            })
+        };
         let mut r1 = SmallRng::seed_from_u64(13);
         let mut r2 = SmallRng::seed_from_u64(13);
         for _ in 0..20_000 {
-            assert_eq!(w.sample_mixed(0.05, &mut r1), mixed.sample(&mut r2));
+            let expected = scan(r2.gen()).unwrap_or(mixed.len() - 1);
+            assert_eq!(w.sample_mixed(0.05, &mut r1), expected);
         }
     }
 
     #[test]
     fn serde_roundtrip_excludes_cache() {
-        let mut w = WeightVector::from_weights(&[1.0, 2.0, 3.0]);
-        w.ensure_cdf();
+        let w = WeightVector::from_weights(&[1.0, 2.0, 3.0]);
         let back = WeightVector::from_value(&w.to_value()).expect("roundtrip");
         assert_eq!(back, w);
-        assert!(back.cdf.is_empty());
-        // The serialized form carries exactly the probability field.
+        // The serialized form carries exactly the probability field: no
+        // derived state is persisted.
         match w.to_value() {
             Value::Object(fields) => {
                 assert_eq!(fields.len(), 1);
@@ -790,10 +593,10 @@ mod tests {
             let mut w = WeightVector::uniform(k);
             w.scale_all(|i| (i + 1) as f64);
             let cap = 1.0 / k as f64;
-            let c = w.capped(cap);
+            let c = capped(&w, cap);
             let u = WeightVector::uniform(k);
             assert_eq!(c.probabilities(), u.probabilities(), "k = {k}");
-            assert!(!c.exceeds_cap(cap, 0.0), "k = {k}");
+            assert!(!exceeds_cap(&c, cap, 0.0), "k = {k}");
             assert_simplex(&c);
         }
     }
@@ -802,9 +605,9 @@ mod tests {
     fn capped_just_above_boundary_stays_feasible() {
         let w = WeightVector::from_weights(&[10.0, 1.0, 1.0, 1.0]);
         let cap = 0.25 * (1.0 + 1e-10);
-        let c = w.capped(cap);
+        let c = capped(&w, cap);
         assert_simplex(&c);
-        assert!(!c.exceeds_cap(cap, 1e-12));
+        assert!(!exceeds_cap(&c, cap, 1e-12));
         assert!(c.probabilities().iter().all(|p| p.is_finite()));
     }
 }

@@ -18,7 +18,6 @@
 
 use mwu_core::bandit::random_values;
 use mwu_core::prelude::*;
-use mwu_core::slate::SlateSampling;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -30,7 +29,7 @@ use std::time::Instant;
 const K_SWEEP: [usize; 4] = [64, 256, 1024, 4096];
 
 /// Benchmarked algorithm labels (also the `--only` vocabulary).
-const ALGORITHMS: [&str; 4] = ["standard", "slate", "slate-decomp", "distributed"];
+const ALGORITHMS: [&str; 3] = ["standard", "slate", "distributed"];
 
 /// Regression gate for `--check`: fail when current ns/round exceeds this
 /// multiple of the baseline cell.
@@ -106,25 +105,16 @@ fn make_algorithm(name: &str, k: usize) -> Box<dyn MwuAlgorithm> {
     match name {
         "standard" => Box::new(StandardMwu::new(k, StandardConfig::default())),
         "slate" => Box::new(SlateMwu::new(k, SlateConfig::default())),
-        "slate-decomp" => Box::new(SlateMwu::new(
-            k,
-            SlateConfig {
-                sampling: SlateSampling::ConvexDecomposition,
-                ..SlateConfig::default()
-            },
-        )),
         "distributed" => Box::new(DistributedMwu::new(k, DistributedConfig::default())),
         _ => unreachable!("unknown algorithm {name}"),
     }
 }
 
 /// Timed rounds per cell, sized so every cell finishes in well under a
-/// second even pre-optimization (convex decomposition is O(k²) per round,
-/// Distributed rounds are O(k^1.5)).
+/// second (Distributed rounds are O(k^1.5)).
 fn rounds_for(name: &str, k_index: usize, fast: bool) -> u64 {
     let base: u64 = match name {
         "standard" | "slate" => [4000, 2000, 600, 150][k_index],
-        "slate-decomp" => [1000, 400, 100, 25][k_index],
         "distributed" => [1000, 300, 60, 15][k_index],
         _ => unreachable!("unknown algorithm {name}"),
     };

@@ -543,10 +543,11 @@ impl Daemon {
             }
         }
         // End-of-run flush: the last epoch's renames (published reports,
-        // replaced session.json files) ride the *next* barrier on Linux's
-        // syncfs path — there is none after the final round, so issue one
-        // covering the work directory before the summary claims anything
-        // finished. Persistent failure is daemon-level, like the spool.
+        // replaced session.json files) ride the *next* barrier on the
+        // syncfs path (per-file targets fsync at commit instead) — there
+        // is none after the final round, so issue one covering the work
+        // directory before the summary claims anything finished.
+        // Persistent failure is daemon-level, like the spool.
         if rounds > 0 {
             let flush_start = Instant::now();
             let workdir = self.config.workdir.clone();

@@ -1021,9 +1021,10 @@ impl SessionRunner {
 /// session's budget; exhaustion quarantines that session alone, and the
 /// epoch commits for everyone else.
 ///
-/// On Linux the renames become durable at the next barrier's `syncfs`;
-/// whoever commits the last epoch issues one more barrier over the work
-/// directory (the daemon's end-of-run flush).
+/// Where barriers use `syncfs` (linux/x86_64) the renames become durable
+/// at the next barrier, and whoever commits the last epoch issues one
+/// more barrier over the work directory (the daemon's end-of-run flush);
+/// elsewhere `commit_atomic` fsyncs each rename's directory itself.
 ///
 /// Returns the number of staged paths handed to the barrier and the
 /// barrier's wall-clock in milliseconds (the batched pass plus per-path

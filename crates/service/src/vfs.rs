@@ -45,6 +45,7 @@
 //! [`StorageFailure`] carrying the full per-attempt error chain for the
 //! quarantine post-mortem.
 
+use mwu_core::rng::splitmix64;
 use serde::{Deserialize, Serialize};
 use simnet::faults::RetryPolicy;
 use std::collections::HashMap;
@@ -183,17 +184,14 @@ impl Vfs for RealVfs {
     }
 
     fn commit_atomic(&self, path: &Path) -> io::Result<()> {
-        std::fs::rename(tmp_path(path), path)?;
-        // On Linux the next barrier's syncfs (and the daemon's final
-        // flush) makes the rename durable; a lost rename replays one
-        // slice byte-identically. Elsewhere the barrier is per-file, so
-        // pay the directory fsync here.
-        #[cfg(not(target_os = "linux"))]
-        {
-            let _span = mwu_core::prof::span(mwu_core::prof::Phase::SyncBarrier);
-            sync_parent_dir(path)?;
+        if SYNCFS {
+            // The next barrier's syncfs (and the daemon's end-of-run
+            // flush) makes the rename durable; a lost rename replays one
+            // slice byte-identically.
+            std::fs::rename(tmp_path(path), path)
+        } else {
+            commit_synced(path)
         }
-        Ok(())
     }
 
     fn sync_barrier(&self, paths: &[PathBuf]) -> Vec<io::Result<()>> {
@@ -201,36 +199,56 @@ impl Vfs for RealVfs {
             return Vec::new();
         }
         // One syncfs(2) covers every staged write on the filesystem in a
-        // single batched pass — the O(1) group commit. When the syscall
-        // is unavailable (non-Linux, exotic arch) or fails, fall back to
-        // per-file fsyncs with parent-directory coalescing.
-        {
+        // single batched pass — the O(1) group commit. If it fails, fall
+        // back to the per-file barrier.
+        if SYNCFS {
             let _span = mwu_core::prof::span(mwu_core::prof::Phase::SyncBarrier);
             if syncfs_covering(&paths[0]).is_ok() {
                 return paths.iter().map(|_| Ok(())).collect();
             }
         }
-        let results: Vec<io::Result<()>> = paths.iter().map(|p| self.sync_file(p)).collect();
-        let mut dirs: Vec<&Path> = paths
-            .iter()
-            .filter_map(|p| p.parent())
-            .filter(|p| !p.as_os_str().is_empty())
-            .collect();
-        dirs.sort_unstable();
-        dirs.dedup();
-        for dir in dirs {
-            let _span = mwu_core::prof::span(mwu_core::prof::Phase::SyncBarrier);
-            let _ = std::fs::File::open(dir).and_then(|f| f.sync_all());
-        }
-        results
+        sync_each(paths)
     }
+}
+
+/// Whether [`RealVfs`] barriers issue one `syncfs(2)`: only on the target
+/// [`syncfs_covering`] has a raw syscall for. Elsewhere every barrier is
+/// per-file ([`sync_each`]) and syncs only the parents of staged paths, so
+/// `commit_atomic` must fsync each rename's directory itself
+/// ([`commit_synced`]), or a rename after the last barrier stays volatile.
+const SYNCFS: bool = cfg!(all(target_os = "linux", target_arch = "x86_64"));
+
+/// The per-file barrier: fsync each staged path, then each distinct
+/// parent directory once. One result per path, index-aligned.
+fn sync_each(paths: &[PathBuf]) -> Vec<io::Result<()>> {
+    let results: Vec<io::Result<()>> = paths.iter().map(|p| RealVfs.sync_file(p)).collect();
+    let mut dirs: Vec<&Path> = paths
+        .iter()
+        .filter_map(|p| p.parent())
+        .filter(|p| !p.as_os_str().is_empty())
+        .collect();
+    dirs.sort_unstable();
+    dirs.dedup();
+    for dir in dirs {
+        let _span = mwu_core::prof::span(mwu_core::prof::Phase::SyncBarrier);
+        let _ = std::fs::File::open(dir).and_then(|f| f.sync_all());
+    }
+    results
+}
+
+/// The per-file commit: rename `<path>.tmp` over `path`, then fsync the
+/// directory so the rename is durable without a later barrier.
+fn commit_synced(path: &Path) -> io::Result<()> {
+    std::fs::rename(tmp_path(path), path)?;
+    let _span = mwu_core::prof::span(mwu_core::prof::Phase::SyncBarrier);
+    sync_parent_dir(path)
 }
 
 /// `syncfs(2)` on the filesystem holding `path`: flushes every dirty
 /// page and metadata entry of that filesystem to disk in one pass. The
-/// workspace has no `libc` stub, so the syscall is issued directly;
-/// other targets report `Unsupported` and the caller falls back to
-/// per-file fsyncs.
+/// workspace has no `libc` stub, so the syscall is issued directly. It is
+/// compiled exactly where [`SYNCFS`] holds; the stub elsewhere reports
+/// `Unsupported` and is never called.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 #[allow(unsafe_code)] // raw syscall: std has no syncfs and there is no libc stub
 fn syncfs_covering(path: &Path) -> io::Result<()> {
@@ -431,11 +449,11 @@ impl StorageFaultPlan {
     }
 
     fn hash(&self, tag: u64, path_hash: u64, op: StorageOp, attempt: u32) -> u64 {
-        let mut acc = mix64(self.seed ^ 0x5106_F417_B1A5_D15C);
+        let mut acc = splitmix64(self.seed ^ 0x5106_F417_B1A5_D15C);
         for l in [tag, path_hash, op as u64, attempt as u64] {
-            acc = mix64(acc ^ l.rotate_left(17));
+            acc = splitmix64(acc ^ l.rotate_left(17));
         }
-        mix64(acc)
+        splitmix64(acc)
     }
 
     fn uniform(&self, tag: u64, path_hash: u64, op: StorageOp, attempt: u32) -> f64 {
@@ -480,22 +498,13 @@ impl StorageFaultPlan {
 fn hash_path(path: &Path) -> u64 {
     let bytes = path.to_string_lossy();
     let bytes = bytes.as_bytes();
-    let mut acc = mix64(bytes.len() as u64 ^ 0x9E37_79B9);
+    let mut acc = splitmix64(bytes.len() as u64 ^ 0x9E37_79B9);
     for chunk in bytes.chunks(8) {
         let mut word = [0u8; 8];
         word[..chunk.len()].copy_from_slice(chunk);
-        acc = mix64(acc ^ u64::from_le_bytes(word));
+        acc = splitmix64(acc ^ u64::from_le_bytes(word));
     }
     acc
-}
-
-/// SplitMix64 finalizer (same mixer as `simnet::faults`).
-#[inline]
-fn mix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A hostile disk: [`RealVfs`] behind a [`StorageFaultPlan`].
@@ -1171,6 +1180,76 @@ mod tests {
         assert_eq!(std::fs::read(&p).unwrap(), b"new");
         assert!(!tmp_path(&p).exists());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every file under `root`, as sorted (relative path, bytes) pairs.
+    fn tree(root: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut out = Vec::new();
+        let mut dirs = vec![root.to_path_buf()];
+        while let Some(dir) = dirs.pop() {
+            for entry in std::fs::read_dir(&dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    dirs.push(path);
+                } else {
+                    let bytes = std::fs::read(&path).unwrap();
+                    out.push((path.strip_prefix(root).unwrap().to_path_buf(), bytes));
+                }
+            }
+        }
+        out.sort();
+        out
+    }
+
+    /// The `syncfs` barrier and the per-file fallback (the only path on
+    /// targets without `syncfs`, where both sides below take it) leave the
+    /// same tree after one stage → barrier → commit cycle of a session
+    /// that completes: trace append, checkpoint and report replaces, then
+    /// the checkpoint's removal.
+    #[test]
+    fn per_file_fallback_and_syncfs_leave_identical_trees() {
+        type Barrier = dyn Fn(&[PathBuf]) -> Vec<io::Result<()>>;
+        type Commit = dyn Fn(&Path) -> io::Result<()>;
+        let cycle = |root: &Path, barrier: &Barrier, commit: &Commit| {
+            let dir = root.join("tenants/t/j1");
+            RealVfs.create_dir_all(&dir).unwrap();
+            let (trace, doc, report) = (
+                dir.join("trace.jsonl"),
+                dir.join("session.json"),
+                dir.join("report.json"),
+            );
+            RealVfs.write_atomic(&doc, b"{\"round\":0}\n").unwrap();
+            RealVfs.append_deferred(&trace, b"{\"probe\":1}\n").unwrap();
+            RealVfs
+                .write_atomic_deferred(&doc, b"{\"round\":1}\n")
+                .unwrap();
+            RealVfs
+                .write_atomic_deferred(&report, b"{\"repaired\":true}\n")
+                .unwrap();
+            for r in barrier(&[trace, tmp_path(&doc), tmp_path(&report)]) {
+                r.unwrap();
+            }
+            commit(&doc).unwrap();
+            commit(&report).unwrap();
+            RealVfs.remove_file(&doc).unwrap();
+            tree(root)
+        };
+        let (a, b) = (tmp_dir("cycle-syncfs"), tmp_dir("cycle-per-file"));
+        let via_syncfs = cycle(&a, &|p| RealVfs.sync_barrier(p), &|p| {
+            RealVfs.commit_atomic(p)
+        });
+        let via_per_file = cycle(&b, &sync_each, &commit_synced);
+        assert_eq!(via_syncfs, via_per_file);
+        let names: Vec<_> = via_syncfs.iter().map(|(p, _)| p.clone()).collect();
+        assert_eq!(
+            names,
+            [
+                PathBuf::from("tenants/t/j1/report.json"),
+                PathBuf::from("tenants/t/j1/trace.jsonl")
+            ]
+        );
+        std::fs::remove_dir_all(&a).unwrap();
+        std::fs::remove_dir_all(&b).unwrap();
     }
 
     /// A lying fsync drawn at stage time surfaces at the barrier: the

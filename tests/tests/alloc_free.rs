@@ -12,7 +12,6 @@
 
 use mwu_core::alternatives::{Exp3, HedgeConfig, HedgeMwu};
 use mwu_core::prelude::*;
-use mwu_core::slate::SlateSampling;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -108,15 +107,6 @@ fn steady_state_rounds_allocate_nothing() {
 
     let mut slate = SlateMwu::new(k, SlateConfig::default());
     audit("slate", &mut slate, k, 200, 100);
-
-    let mut slate_decomp = SlateMwu::new(
-        k,
-        SlateConfig {
-            sampling: SlateSampling::ConvexDecomposition,
-            ..SlateConfig::default()
-        },
-    );
-    audit("slate-decomp", &mut slate_decomp, k, 50, 25);
 
     let mut distributed = DistributedMwu::new(64, DistributedConfig::default());
     audit("distributed", &mut distributed, 64, 100, 50);
