@@ -53,7 +53,8 @@ pub fn survival_curve(
 /// instead of one nested job per x-value — each pool chunk amortizes many
 /// trials, where the nested form submitted `xs.len() + 1` jobs whose inner
 /// units were each a single evaluation (the chunk-bookkeeping and
-/// park/wake traffic PROFILE_grid attributed the scaling plateau to).
+/// park/wake traffic that per-thread-count profiles of the grid
+/// attributed the scaling plateau to; docs/PERFORMANCE.md).
 /// Every trial derives its RNG from `(x, t)` alone and the per-x counts
 /// fold the ordered result buffer sequentially, so the curve is
 /// byte-identical to the nested (and the sequential) form.

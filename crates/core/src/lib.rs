@@ -79,11 +79,6 @@ pub mod stats;
 pub mod trace;
 pub mod weights;
 
-/// Version of the MWU round kernels, stamped into benchmark artifact
-/// `meta` blocks so perf trajectories can be compared across kernel
-/// revisions.
-pub const KERNEL_VERSION: &str = env!("CARGO_PKG_VERSION");
-
 pub use alternatives::{EpsilonGreedy, Exp3, HedgeConfig, HedgeMwu, Ucb1};
 pub use arena::ThreadArena;
 pub use bandit::{Bandit, NoiseModel, ValueBandit};

@@ -13,14 +13,9 @@
 //! time is the distribution they would act on.
 
 use crate::bandit::Bandit;
-use crate::run::{RunConfig, RunOutcome};
-use crate::trace::{
-    CommDelta, ConvergenceEvent, IterationEvent, NullObserver, Observer, RewardSummary,
-    RunStartEvent,
-};
+use crate::run::{drive, RunConfig};
+use crate::trace::{NullObserver, Observer};
 use crate::MwuAlgorithm;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Per-cycle policy regret of one run.
@@ -71,98 +66,47 @@ pub fn run_with_regret<A: MwuAlgorithm, B: Bandit>(
     run_with_regret_observed(alg, bandit, config, &mut NullObserver)
 }
 
-/// [`run_with_regret`] with run telemetry delivered to `observer`. Emits
-/// the same event sequence as
-/// [`crate::run::run_to_convergence_observed`] (run header, one event per
-/// cycle, first-convergence marker, run footer); with [`NullObserver`] the
-/// telemetry path is compiled out.
+/// [`run_with_regret`] with run telemetry delivered to `observer`: the
+/// [`crate::run::run_to_convergence_observed`] loop with the horizon
+/// forced to its full length, so the event sequence (run header, one
+/// event per cycle, first-convergence marker, run footer) is the same
+/// bytes that function emits at `run_past_convergence: true`. With
+/// [`NullObserver`] the telemetry path is compiled out.
 pub fn run_with_regret_observed<A: MwuAlgorithm, B: Bandit, O: Observer>(
     alg: &mut A,
     bandit: &mut B,
     config: &RunConfig,
     observer: &mut O,
 ) -> RegretCurve {
-    let mut rng = SmallRng::seed_from_u64(config.seed);
     let best = bandit.best_value();
     let mut per_cycle = Vec::with_capacity(config.max_iterations);
     let mut probes: u64 = 0;
     let mut total = 0.0;
-    let mut rewards: Vec<f64> = Vec::new();
     // Reused probability snapshot: the per-cycle policy-regret sum needs the
     // full vector every cycle, so this buffer is on the hot path even when
     // no observer is attached.
     let mut probs: Vec<f64> = Vec::new();
-    let mut convergence_reported = false;
-    let start_pulls = bandit.pulls();
-
-    if observer.enabled() {
-        observer.on_run_start(RunStartEvent {
-            algorithm: alg.name(),
-            num_arms: alg.num_arms(),
-            cpus_per_iteration: alg.cpus_per_iteration(),
-            seed: config.seed,
-            max_iterations: config.max_iterations,
-        });
-    }
-
-    for cycle in 0..config.max_iterations {
-        let comm_before = if observer.enabled() {
-            alg.comm_stats()
-        } else {
-            crate::CommStats::default()
-        };
-        let plan = alg.plan(&mut rng);
-        rewards.clear();
-        rewards.reserve(plan.len());
-        probes += plan.len() as u64;
-        for &arm in plan {
-            rewards.push(bandit.pull(arm, &mut rng));
-        }
-        alg.update(&rewards, &mut rng);
-
-        alg.probabilities_into(&mut probs);
-        let cycle_regret: f64 = probs
-            .iter()
-            .enumerate()
-            .map(|(i, &pi)| pi * (best - bandit.expected_value(i)))
-            .sum();
-        total += cycle_regret;
-        per_cycle.push(cycle_regret);
-
-        if observer.enabled() {
-            observer.on_iteration(IterationEvent {
-                iteration: cycle + 1,
-                leader: alg.leader(),
-                leader_share: alg.leader_share(),
-                entropy: crate::trace::entropy(&probs),
-                comm: CommDelta::between(&comm_before, &alg.comm_stats()),
-                reward: RewardSummary::of(&rewards),
-            });
-            if alg.has_converged() && !convergence_reported {
-                convergence_reported = true;
-                observer.on_convergence(ConvergenceEvent {
-                    iteration: cycle + 1,
-                    leader: alg.leader(),
-                    leader_share: alg.leader_share(),
-                });
-            }
-        }
-    }
-
-    if observer.enabled() {
-        observer.on_run_end(RunOutcome {
-            algorithm: alg.name(),
-            iterations: per_cycle.len(),
-            converged: alg.has_converged(),
-            leader: alg.leader(),
-            leader_share: alg.leader_share(),
-            cpu_iterations: per_cycle.len() as u64 * alg.cpus_per_iteration() as u64,
-            pulls: bandit.pulls() - start_pulls,
-            comm: alg.comm_stats(),
-            cpus_per_iteration: alg.cpus_per_iteration(),
-        });
-    }
-
+    let full_horizon = RunConfig {
+        run_past_convergence: true,
+        ..*config
+    };
+    drive(
+        alg,
+        bandit,
+        &full_horizon,
+        observer,
+        |alg, bandit, rewards| {
+            probes += rewards.len() as u64;
+            alg.probabilities_into(&mut probs);
+            let cycle_regret: f64 = probs
+                .iter()
+                .enumerate()
+                .map(|(i, &pi)| pi * (best - bandit.expected_value(i)))
+                .sum();
+            total += cycle_regret;
+            per_cycle.push(cycle_regret);
+        },
+    );
     RegretCurve {
         per_cycle,
         probes,

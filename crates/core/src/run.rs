@@ -116,6 +116,22 @@ pub fn run_to_convergence_observed<A: MwuAlgorithm, B: Bandit, O: Observer>(
     config: &RunConfig,
     observer: &mut O,
 ) -> RunOutcome {
+    drive(alg, bandit, config, observer, |_, _, _| {})
+}
+
+/// The plan → pull → update loop behind [`run_to_convergence_observed`]
+/// and [`crate::regret::run_with_regret_observed`]. `after_update` runs
+/// once per cycle, after the update and before the cycle's events, with
+/// the algorithm, the bandit and the cycle's rewards. It is a generic
+/// parameter rather than a trait object, so the no-op hook of
+/// [`run_to_convergence_observed`] compiles away.
+pub(crate) fn drive<A: MwuAlgorithm, B: Bandit, O: Observer>(
+    alg: &mut A,
+    bandit: &mut B,
+    config: &RunConfig,
+    observer: &mut O,
+    mut after_update: impl FnMut(&A, &B, &[f64]),
+) -> RunOutcome {
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let mut rewards: Vec<f64> = Vec::new();
     // Reused probability snapshot for the per-iteration entropy figure.
@@ -153,6 +169,7 @@ pub fn run_to_convergence_observed<A: MwuAlgorithm, B: Bandit, O: Observer>(
             let _span = crate::prof::span(crate::prof::Phase::Update);
             alg.update(&rewards, &mut rng);
         }
+        after_update(alg, bandit, &rewards);
         iterations += 1;
         if observer.enabled() {
             alg.probabilities_into(&mut probs);

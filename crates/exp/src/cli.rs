@@ -41,12 +41,6 @@ pub struct CommonArgs {
     /// only: every CSV/trace byte is identical with it on or off; see
     /// `docs/TELEMETRY.md`.
     pub profile: Option<PathBuf>,
-    /// Committed baseline artifact to gate against (`--check PATH`).
-    /// Bench binaries that honor it compare fresh numbers with the
-    /// baseline and exit non-zero on regression; the baseline is read
-    /// before any output is written, so `--out` may point at the
-    /// directory holding the baseline itself.
-    pub check: Option<PathBuf>,
 }
 
 impl Default for CommonArgs {
@@ -64,7 +58,6 @@ impl Default for CommonArgs {
             checkpoint_every: 512,
             threads: None,
             profile: None,
-            check: None,
         }
     }
 }
@@ -134,15 +127,11 @@ impl CommonArgs {
                     let v = it.next().ok_or("--profile needs a path")?;
                     out.profile = Some(PathBuf::from(v));
                 }
-                "--check" => {
-                    let v = it.next().ok_or("--check needs a path")?;
-                    out.check = Some(PathBuf::from(v));
-                }
                 "--help" | "-h" => {
                     return Err("flags: --replicates N | --seed S | --out DIR | --fast | \
                          --only SUBSTR | --trace PATH | --quiet | --checkpoint PATH | \
                          --resume PATH | --checkpoint-every N | --threads N | \
-                         --profile PATH | --check PATH"
+                         --profile PATH"
                         .into())
                 }
                 other => return Err(format!("unknown flag {other:?} (try --help)")),
@@ -352,15 +341,6 @@ mod tests {
         assert_eq!(a.profile, Some(PathBuf::from("/tmp/prof.json")));
         assert!(p(&["--profile"]).is_err());
         assert!(p(&["--help"]).unwrap_err().contains("--profile"));
-    }
-
-    #[test]
-    fn parses_check() {
-        assert_eq!(p(&[]).unwrap().check, None);
-        let a = p(&["--check", "BENCH_grid.json"]).unwrap();
-        assert_eq!(a.check, Some(PathBuf::from("BENCH_grid.json")));
-        assert!(p(&["--check"]).is_err());
-        assert!(p(&["--help"]).unwrap_err().contains("--check"));
     }
 
     #[test]

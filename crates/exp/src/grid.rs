@@ -2,9 +2,7 @@
 //! Tables II, III and IV.
 
 use mwu_core::stats::{RunningStats, Summary};
-use mwu_core::trace::{
-    CellEndEvent, CellStartEvent, NullObserver, Observer, ProgressSink, ReplicateEvent,
-};
+use mwu_core::trace::{CellEndEvent, CellStartEvent, Observer, ReplicateEvent};
 use mwu_core::{
     run_to_convergence, DistributedConfig, RunConfig, RunOutcome, SlateConfig, StandardConfig,
     ThreadArena, Variant,
@@ -80,16 +78,10 @@ impl CellResult {
     }
 }
 
-/// Run one cell: `config.replicates` independent runs of `algorithm` on
-/// `dataset`. Replicates are distributed over rayon workers; each derives a
-/// deterministic seed so results are independent of scheduling.
-pub fn run_cell(algorithm: Variant, dataset: &Dataset, config: &GridConfig) -> CellResult {
-    run_cell_observed(algorithm, dataset, config, &mut NullObserver)
-}
-
 /// The seed replicate `r` of `algorithm` on `dataset` runs under — derived
-/// exactly as [`run_cell`] derives it, and recorded in each replicate's
-/// [`ReplicateEvent`] trace header so the replicate can be re-run alone.
+/// exactly as [`run_grid_observed`] derives it, and recorded in each
+/// replicate's [`ReplicateEvent`] trace header so the replicate can be
+/// re-run alone.
 pub fn replicate_seed(algorithm: Variant, dataset: &Dataset, base_seed: u64, r: u64) -> u64 {
     let alg_tag = match algorithm {
         Variant::Standard => 1u64,
@@ -98,45 +90,6 @@ pub fn replicate_seed(algorithm: Variant, dataset: &Dataset, base_seed: u64, r: 
     };
     let data_tag = mwu_core::rng::mix(&[dataset.size() as u64, dataset.best_arm() as u64]);
     mwu_core::rng::mix(&[base_seed, alg_tag, data_tag, r])
-}
-
-/// [`run_cell`] with telemetry: a [`CellStartEvent`], one [`ReplicateEvent`]
-/// per replicate (in replicate order, after the parallel phase joins, so
-/// traces are scheduling-independent), and a [`CellEndEvent`].
-pub fn run_cell_observed<O: Observer>(
-    algorithm: Variant,
-    dataset: &Dataset,
-    config: &GridConfig,
-    observer: &mut O,
-) -> CellResult {
-    let k = dataset.size();
-    if observer.enabled() {
-        observer.on_cell_start(CellStartEvent {
-            algorithm: algorithm.to_string(),
-            dataset: dataset.name.clone(),
-            size: k,
-            replicates: config.replicates,
-        });
-    }
-    if algorithm == Variant::Distributed && !DistributedConfig::default().is_tractable(k) {
-        if observer.enabled() {
-            observer.on_cell_end(CellEndEvent {
-                algorithm: algorithm.to_string(),
-                dataset: dataset.name.clone(),
-                converged: 0,
-                replicates: 0,
-                intractable: true,
-            });
-        }
-        return CellResult::intractable_cell(algorithm, dataset);
-    }
-
-    let outcomes: Vec<(u64, u64, RunOutcome)> = (0..config.replicates as u64)
-        .into_par_iter()
-        .with_cost_hint(REPLICATE_COST_HINT_NS)
-        .map(|r| run_replicate(algorithm, dataset, config, r))
-        .collect();
-    aggregate_and_emit(algorithm, dataset, config, &outcomes, observer)
 }
 
 /// Per-item cost hint for grid replicates: a replicate is a full
@@ -250,17 +203,17 @@ fn aggregate_and_emit<O: Observer>(
     }
 }
 
-/// Run the full grid: every algorithm on every dataset, in the paper's
-/// column order (Standard, Distributed, Slate), narrating progress to
-/// stderr via [`ProgressSink`].
-pub fn run_grid(datasets: &[Dataset], config: &GridConfig) -> Vec<CellResult> {
-    run_grid_observed(datasets, config, &mut ProgressSink::new())
-}
-
-/// [`run_grid`] with telemetry delivered to `observer`. Pass a
-/// [`mwu_core::trace::JsonlSink`] to capture a machine-readable trace, a
-/// [`ProgressSink`] for stderr narration, or a [`mwu_core::trace::Tee`] of
-/// both.
+/// Run the full grid: `config.replicates` independent runs of every
+/// algorithm on every dataset, in the paper's column order (Standard,
+/// Distributed, Slate). Each replicate derives its seed from
+/// [`replicate_seed`], so results are independent of scheduling.
+///
+/// Telemetry goes to `observer` (pass [`mwu_core::trace::NullObserver`]
+/// for none, a [`mwu_core::trace::JsonlSink`] to capture a machine-readable
+/// trace, a [`mwu_core::trace::ProgressSink`] for stderr narration, or a
+/// [`mwu_core::trace::Tee`] of both): per cell, a [`CellStartEvent`], one
+/// [`ReplicateEvent`] per replicate in replicate order, and a
+/// [`CellEndEvent`].
 pub fn run_grid_observed<O: Observer>(
     datasets: &[Dataset],
     config: &GridConfig,
@@ -271,7 +224,7 @@ pub fn run_grid_observed<O: Observer>(
     // per-cell barrier — the tail of one cell overlaps the next cell's
     // replicates. Telemetry is withheld until the join and then emitted in
     // the canonical (cell, replicate) order, so traces stay byte-identical
-    // to the per-cell form at every thread count.
+    // at every thread count.
     let algs = [Variant::Standard, Variant::Distributed, Variant::Slate];
     let cells: Vec<(&Dataset, Variant, bool)> = datasets
         .iter()
@@ -335,7 +288,16 @@ pub fn run_grid_observed<O: Observer>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mwu_core::trace::NullObserver;
     use mwu_datasets::catalog;
+
+    /// The `algorithm` cell of a grid run over `dataset` alone.
+    fn run_cell(algorithm: Variant, dataset: &Dataset, config: &GridConfig) -> CellResult {
+        run_grid_observed(std::slice::from_ref(dataset), config, &mut NullObserver)
+            .into_iter()
+            .find(|c| c.algorithm == algorithm)
+            .expect("the grid runs every variant")
+    }
 
     fn tiny_config() -> GridConfig {
         GridConfig {
@@ -365,7 +327,12 @@ mod tests {
     #[test]
     fn distributed_intractable_at_16384() {
         let d = catalog::by_name("random16384").unwrap();
-        let c = run_cell(Variant::Distributed, &d, &tiny_config());
+        // The Standard and Slate cells run beside it; one cycle each will do.
+        let config = GridConfig {
+            max_iterations: 1,
+            ..tiny_config()
+        };
+        let c = run_cell(Variant::Distributed, &d, &config);
         assert!(c.intractable);
         assert_eq!(c.replicates, 0);
     }

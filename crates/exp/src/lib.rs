@@ -26,14 +26,9 @@
 
 pub mod cli;
 pub mod grid;
-pub mod meta;
 pub mod social;
 pub mod tables;
 
 pub use cli::{install_profile_hooks, CommonArgs};
-pub use grid::{
-    replicate_seed, run_cell, run_cell_observed, run_grid, run_grid_observed, CellResult,
-    GridConfig,
-};
-pub use meta::BenchMeta;
+pub use grid::{replicate_seed, run_grid_observed, CellResult, GridConfig};
 pub use tables::{render_table, write_results_csv};

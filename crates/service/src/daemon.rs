@@ -544,8 +544,9 @@ impl Daemon {
         }
         // End-of-run flush: the last epoch's renames (published reports,
         // replaced session.json files) ride the *next* barrier on the
-        // syncfs path (per-file targets fsync at commit instead) — there
-        // is none after the final round, so issue one covering the work
+        // syncfs path, whose per-file fallback fsyncs their directories
+        // (per-file targets fsync at commit instead) — there is none
+        // after the final round, so issue one covering the work
         // directory before the summary claims anything finished.
         // Persistent failure is daemon-level, like the spool.
         if rounds > 0 {

@@ -1022,9 +1022,11 @@ impl SessionRunner {
 /// epoch commits for everyone else.
 ///
 /// Where barriers use `syncfs` (linux/x86_64) the renames become durable
-/// at the next barrier, and whoever commits the last epoch issues one
-/// more barrier over the work directory (the daemon's end-of-run flush);
-/// elsewhere `commit_atomic` fsyncs each rename's directory itself.
+/// at the next barrier (its `syncfs`, or the per-file fallback, which
+/// fsyncs their directories), and whoever commits the last epoch issues
+/// one more barrier over the work directory (the daemon's end-of-run
+/// flush); elsewhere `commit_atomic` fsyncs each rename's directory
+/// itself.
 ///
 /// Returns the number of staged paths handed to the barrier and the
 /// barrier's wall-clock in milliseconds (the batched pass plus per-path

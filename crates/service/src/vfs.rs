@@ -185,29 +185,17 @@ impl Vfs for RealVfs {
 
     fn commit_atomic(&self, path: &Path) -> io::Result<()> {
         if SYNCFS {
-            // The next barrier's syncfs (and the daemon's end-of-run
-            // flush) makes the rename durable; a lost rename replays one
-            // slice byte-identically.
-            std::fs::rename(tmp_path(path), path)
+            // The next barrier (and the daemon's end-of-run flush) makes
+            // the rename durable; a lost rename replays one slice
+            // byte-identically.
+            commit_deferred(&UNSYNCED_RENAMES, path)
         } else {
             commit_synced(path)
         }
     }
 
     fn sync_barrier(&self, paths: &[PathBuf]) -> Vec<io::Result<()>> {
-        if paths.is_empty() {
-            return Vec::new();
-        }
-        // One syncfs(2) covers every staged write on the filesystem in a
-        // single batched pass — the O(1) group commit. If it fails, fall
-        // back to the per-file barrier.
-        if SYNCFS {
-            let _span = mwu_core::prof::span(mwu_core::prof::Phase::SyncBarrier);
-            if syncfs_covering(&paths[0]).is_ok() {
-                return paths.iter().map(|_| Ok(())).collect();
-            }
-        }
-        sync_each(paths)
+        barrier(&UNSYNCED_RENAMES, paths)
     }
 }
 
@@ -218,20 +206,76 @@ impl Vfs for RealVfs {
 /// ([`commit_synced`]), or a rename after the last barrier stays volatile.
 const SYNCFS: bool = cfg!(all(target_os = "linux", target_arch = "x86_64"));
 
-/// The per-file barrier: fsync each staged path, then each distinct
-/// parent directory once. One result per path, index-aligned.
-fn sync_each(paths: &[PathBuf]) -> Vec<io::Result<()>> {
-    let results: Vec<io::Result<()>> = paths.iter().map(|p| RealVfs.sync_file(p)).collect();
+/// Directories of the renames [`RealVfs::commit_atomic`] left to the next
+/// barrier. `RealVfs` is a unit struct, so the process keeps one list.
+/// Each update (one push, or taking the whole list) leaves it valid, so a
+/// lock poisoned by a panicking holder is recovered, not propagated.
+static UNSYNCED_RENAMES: Mutex<Vec<PathBuf>> = Mutex::new(Vec::new());
+
+/// Rename `<path>.tmp` over `path` and record its directory in
+/// `renames`, for the next [`barrier`] to make durable.
+fn commit_deferred(renames: &Mutex<Vec<PathBuf>>, path: &Path) -> io::Result<()> {
+    std::fs::rename(tmp_path(path), path)?;
+    let dir = parent_dir(path).to_path_buf();
+    renames.lock().unwrap_or_else(|e| e.into_inner()).push(dir);
+    Ok(())
+}
+
+/// One barrier over the staged `paths`. A single `syncfs(2)` covers every
+/// staged write and recorded rename on the filesystem in one batched pass
+/// — the O(1) group commit. Where that is unavailable or fails at run
+/// time (ENOSYS under a seccomp filter, EIO), the per-file pass fsyncs the
+/// staged paths and the directories of the renames recorded in `renames`.
+/// The record is taken before the `syncfs`, so a rename recorded while it
+/// runs waits for the next barrier.
+fn barrier(renames: &Mutex<Vec<PathBuf>>, paths: &[PathBuf]) -> Vec<io::Result<()>> {
+    if paths.is_empty() {
+        return Vec::new();
+    }
+    let renamed = std::mem::take(&mut *renames.lock().unwrap_or_else(|e| e.into_inner()));
+    if SYNCFS {
+        let _span = mwu_core::prof::span(mwu_core::prof::Phase::SyncBarrier);
+        if syncfs_covering(&paths[0]).is_ok() {
+            return paths.iter().map(|_| Ok(())).collect();
+        }
+    }
+    sync_each(paths, &renamed, renames)
+}
+
+/// The per-file barrier: fsync each staged path, then once each distinct
+/// directory among their parents and `renamed`. One result per path,
+/// index-aligned. A parent's fsync is best effort. A renamed directory
+/// is one no other call will sync: if its fsync fails, it goes back on
+/// `renames` for the next barrier and every path fails, so the caller
+/// retries or quarantines as for any failed sync.
+fn sync_each(
+    paths: &[PathBuf],
+    renamed: &[PathBuf],
+    renames: &Mutex<Vec<PathBuf>>,
+) -> Vec<io::Result<()>> {
+    let mut results: Vec<io::Result<()>> = paths.iter().map(|p| RealVfs.sync_file(p)).collect();
     let mut dirs: Vec<&Path> = paths
         .iter()
         .filter_map(|p| p.parent())
         .filter(|p| !p.as_os_str().is_empty())
+        .chain(renamed.iter().map(PathBuf::as_path))
         .collect();
     dirs.sort_unstable();
     dirs.dedup();
     for dir in dirs {
         let _span = mwu_core::prof::span(mwu_core::prof::Phase::SyncBarrier);
-        let _ = std::fs::File::open(dir).and_then(|f| f.sync_all());
+        let Err(e) = sync_dir(dir) else { continue };
+        if !renamed.iter().any(|r| r == dir) {
+            continue;
+        }
+        renames
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(dir.to_path_buf());
+        for r in results.iter_mut().filter(|r| r.is_ok()) {
+            let msg = format!("fsync of renamed directory {}: {e}", dir.display());
+            *r = Err(io::Error::new(e.kind(), msg));
+        }
     }
     results
 }
@@ -254,6 +298,11 @@ fn commit_synced(path: &Path) -> io::Result<()> {
 fn syncfs_covering(path: &Path) -> io::Result<()> {
     use std::os::unix::io::AsRawFd;
     const SYS_SYNCFS: u64 = 306;
+    #[cfg(test)]
+    if tests::SYNCFS_FAILS.with(std::cell::Cell::get) {
+        const ENOSYS: i32 = 38;
+        return Err(io::Error::from_raw_os_error(ENOSYS));
+    }
     let f = std::fs::File::open(path)?;
     let mut ret: i64 = SYS_SYNCFS as i64;
     unsafe {
@@ -280,18 +329,35 @@ fn syncfs_covering(_path: &Path) -> io::Result<()> {
 
 /// Fsync the directory containing `path`, making a just-completed rename
 /// durable: until the directory inode is synced, a power loss can roll
-/// the entry back even though the file data itself was fsynced. Off
-/// unix, directory handles are not portably syncable; the rename stays
-/// atomic, just not guaranteed durable.
+/// the entry back even though the file data itself was fsynced.
 fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    sync_dir(parent_dir(path))
+}
+
+/// Fsync the directory `dir`, making the renames within it durable. Off
+/// unix, directory handles are not portably syncable; a rename stays
+/// atomic, just not guaranteed durable.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    #[cfg(test)]
+    {
+        tests::DIRS_SYNCED.with(|d| d.borrow_mut().push(dir.to_path_buf()));
+        if tests::DIR_FSYNC_FAILS.with(std::cell::Cell::get) {
+            const EIO: i32 = 5;
+            return Err(io::Error::from_raw_os_error(EIO));
+        }
+    }
     if !cfg!(unix) {
         return Ok(());
     }
-    let parent = match path.parent() {
+    std::fs::File::open(dir)?.sync_all()
+}
+
+/// The directory holding `path`; `.` for a bare name.
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => p,
         _ => Path::new("."),
-    };
-    std::fs::File::open(parent)?.sync_all()
+    }
 }
 
 /// Per-class storage-fault probabilities (all default 0, like
@@ -923,6 +989,17 @@ pub fn with_retries<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::{Cell, RefCell};
+
+    thread_local! {
+        /// Makes this thread's `syncfs(2)` attempts fail with ENOSYS, as
+        /// under a seccomp filter.
+        pub(super) static SYNCFS_FAILS: Cell<bool> = const { Cell::new(false) };
+        /// Makes this thread's directory fsyncs fail with EIO.
+        pub(super) static DIR_FSYNC_FAILS: Cell<bool> = const { Cell::new(false) };
+        /// Directories this thread fsynced (or tried to), in order.
+        pub(super) static DIRS_SYNCED: RefCell<Vec<PathBuf>> = const { RefCell::new(Vec::new()) };
+    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("mwrd-vfs-{tag}-{}", std::process::id()));
@@ -1238,7 +1315,11 @@ mod tests {
         let via_syncfs = cycle(&a, &|p| RealVfs.sync_barrier(p), &|p| {
             RealVfs.commit_atomic(p)
         });
-        let via_per_file = cycle(&b, &sync_each, &commit_synced);
+        let via_per_file = cycle(
+            &b,
+            &|p| sync_each(p, &[], &Mutex::new(Vec::new())),
+            &commit_synced,
+        );
         assert_eq!(via_syncfs, via_per_file);
         let names: Vec<_> = via_syncfs.iter().map(|(p, _)| p.clone()).collect();
         assert_eq!(
@@ -1250,6 +1331,48 @@ mod tests {
         );
         std::fs::remove_dir_all(&a).unwrap();
         std::fs::remove_dir_all(&b).unwrap();
+    }
+
+    /// A `syncfs(2)` that fails at run time sends the barrier down the
+    /// per-file path after `commit_atomic` skipped the rename's directory
+    /// fsync. That path must fsync it: here the daemon's end-of-run flush,
+    /// whose one staged path is the work dir, still makes the last
+    /// round's `report.json` rename durable. If that directory fsync
+    /// fails as well, the flush must fail, and its retry must sync the
+    /// directory again.
+    #[test]
+    fn failed_syncfs_falls_back_to_fsyncing_renamed_directories() {
+        let renames = Mutex::new(Vec::new());
+        let root = tmp_dir("syncfs-fails");
+        let dir = root.join("tenants/t/j1");
+        RealVfs.create_dir_all(&dir).unwrap();
+        let (trace, report) = (dir.join("trace.jsonl"), dir.join("report.json"));
+        RealVfs.append_deferred(&trace, b"{\"probe\":1}\n").unwrap();
+        RealVfs
+            .write_atomic_deferred(&report, b"{\"repaired\":true}\n")
+            .unwrap();
+        for r in barrier(&renames, &[trace, tmp_path(&report)]) {
+            r.unwrap();
+        }
+        commit_deferred(&renames, &report).unwrap();
+        SYNCFS_FAILS.with(|f| f.set(true));
+        DIR_FSYNC_FAILS.with(|f| f.set(true));
+        let failed = barrier(&renames, std::slice::from_ref(&root));
+        DIR_FSYNC_FAILS.with(|f| f.set(false));
+        assert!(failed.iter().all(Result::is_err), "failed fsync hidden");
+        let pending = renames.lock().unwrap().clone();
+        assert_eq!(pending, std::slice::from_ref(&dir), "rename dropped");
+        DIRS_SYNCED.with(|d| d.borrow_mut().clear());
+        let flush = barrier(&renames, std::slice::from_ref(&root));
+        SYNCFS_FAILS.with(|f| f.set(false));
+        for r in flush {
+            r.unwrap();
+        }
+        let synced = DIRS_SYNCED.with(|d| d.take());
+        assert!(synced.contains(&dir), "rename dir not fsynced: {synced:?}");
+        assert!(renames.lock().unwrap().is_empty(), "renames left pending");
+        assert_eq!(std::fs::read(&report).unwrap(), b"{\"repaired\":true}\n");
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// A lying fsync drawn at stage time surfaces at the barrier: the

@@ -4,11 +4,13 @@
 //! for every thread count (see `docs/PARALLELISM.md`). These tests pin the
 //! contract on the three hot paths the pool drives — the experiment grid
 //! with its JSONL telemetry, the nested Fig. 4 Monte-Carlo curves, and the
-//! MWRepair probe loop — by running each under participation caps of 1 and
-//! 4 plus uncapped, and demanding identical bytes.
+//! MWRepair probe loop — by running each under several participation caps
+//! (the grid at 1/2/4/8 plus uncapped) and demanding identical bytes.
 //!
 //! The pool is global and sized once per process, so every test funnels
-//! through [`pool_of_four`] before touching parallel code.
+//! through [`pool_of_eight`] before touching parallel code. Eight workers
+//! may outnumber the host's cores: the caps then interleave on fewer
+//! CPUs, which changes scheduling and must not change a byte.
 
 use apr_sim::fig4::{repair_density_curve, survival_curve, untested_survival_curve};
 use apr_sim::{BugScenario, ScenarioKind};
@@ -19,19 +21,19 @@ use mwu_experiments::{run_grid_observed, GridConfig};
 use rayon::prelude::*;
 use std::sync::Once;
 
-/// Size the global pool to 4 threads exactly once, before any parallel
+/// Size the global pool to 8 threads exactly once, before any parallel
 /// call in this binary initializes it at the hardware default.
-fn pool_of_four() {
+fn pool_of_eight() {
     static INIT: Once = Once::new();
     INIT.call_once(|| {
-        assert!(rayon::set_num_threads(4), "pool already initialized");
+        assert!(rayon::set_num_threads(8), "pool already initialized");
     });
-    assert_eq!(rayon::current_num_threads(), 4);
+    assert_eq!(rayon::current_num_threads(), 8);
 }
 
 #[test]
 fn pool_reports_requested_thread_count() {
-    pool_of_four();
+    pool_of_eight();
 }
 
 /// The grid's serialized cells and its full JSONL trace, run under a
@@ -60,15 +62,14 @@ fn grid_output(cap: Option<usize>) -> (String, Vec<u8>) {
 
 #[test]
 fn grid_cells_and_trace_are_thread_count_invariant() {
-    pool_of_four();
+    pool_of_eight();
     let (cells_1, trace_1) = grid_output(Some(1));
-    let (cells_4, trace_4) = grid_output(Some(4));
-    let (cells_default, trace_default) = grid_output(None);
     assert!(!trace_1.is_empty());
-    assert_eq!(cells_1, cells_4, "cell results: 1 vs 4 threads");
-    assert_eq!(cells_1, cells_default, "cell results: 1 vs default");
-    assert_eq!(trace_1, trace_4, "JSONL trace: 1 vs 4 threads");
-    assert_eq!(trace_1, trace_default, "JSONL trace: 1 vs default");
+    for cap in [Some(2), Some(4), Some(8), None] {
+        let (cells, trace) = grid_output(cap);
+        assert_eq!(cells_1, cells, "cell results: 1 thread vs cap {cap:?}");
+        assert_eq!(trace_1, trace, "JSONL trace: 1 thread vs cap {cap:?}");
+    }
 }
 
 /// All three Fig. 4 Monte-Carlo curves — the nested-parallelism path
@@ -88,7 +89,7 @@ fn fig4_curves(cap: usize) -> String {
 
 #[test]
 fn fig4_nested_curves_are_thread_count_invariant() {
-    pool_of_four();
+    pool_of_eight();
     let one = fig4_curves(1);
     let four = fig4_curves(4);
     assert_eq!(one, four);
@@ -117,7 +118,7 @@ fn repair_outcome(cap: usize) -> String {
 
 #[test]
 fn repair_outcome_is_thread_count_invariant() {
-    pool_of_four();
+    pool_of_eight();
     let one = repair_outcome(1);
     let four = repair_outcome(4);
     assert_eq!(one, four);
@@ -125,7 +126,7 @@ fn repair_outcome_is_thread_count_invariant() {
 
 #[test]
 fn par_pipeline_matches_sequential_on_large_input() {
-    pool_of_four();
+    pool_of_eight();
     let n = 50_000u64;
     let par: Vec<u64> = (0..n).into_par_iter().map(|i| i.wrapping_mul(i)).collect();
     let seq: Vec<u64> = (0..n).map(|i| i.wrapping_mul(i)).collect();
@@ -137,7 +138,7 @@ fn par_pipeline_matches_sequential_on_large_input() {
 
 #[test]
 fn worker_panic_reaches_the_submitting_thread() {
-    pool_of_four();
+    pool_of_eight();
     let r = std::panic::catch_unwind(|| {
         let _: Vec<u64> = (0..4096u64)
             .into_par_iter()
@@ -156,7 +157,7 @@ fn worker_panic_reaches_the_submitting_thread() {
 /// one-item chunks), all byte-identical to sequential.
 #[test]
 fn chunk_sizing_edges_match_sequential() {
-    pool_of_four();
+    pool_of_eight();
     let f = |i: u64| i.wrapping_mul(0x9E37_79B9).rotate_left(13);
     for n in [5u64, 15, 16, 17] {
         let seq: Vec<u64> = (0..n).map(f).collect();
@@ -173,7 +174,7 @@ fn chunk_sizing_edges_match_sequential() {
 /// participation cap is active; nesting caps must not move a byte.
 #[test]
 fn adaptive_sizing_under_nested_caps_matches_sequential() {
-    pool_of_four();
+    pool_of_eight();
     let n = 10_000u64;
     let f = |i: u64| (i ^ (i >> 7)).wrapping_mul(31);
     let seq: Vec<u64> = (0..n).map(f).collect();
@@ -193,7 +194,7 @@ fn adaptive_sizing_under_nested_caps_matches_sequential() {
 /// job through the fast-path rather than the queue scan.
 #[test]
 fn worker_panic_propagates_through_claim_fast_path() {
-    pool_of_four();
+    pool_of_eight();
     let r = std::panic::catch_unwind(|| {
         let _: Vec<u64> = (0..100_000u64)
             .into_par_iter()

@@ -1,9 +1,8 @@
 //! Profile-shape parity between inline and pooled execution.
 //!
 //! The sequential fallbacks in the pool's `run_indexed` used to bypass
-//! span emission entirely, so 1-thread sweeps in `PROFILE_grid.json`
-//! structurally lacked pool phases and cross-thread-count comparisons
-//! were apples-to-oranges. These tests pin the fix: a capped-to-1 run
+//! span emission entirely, so 1-thread profiles structurally lacked pool
+//! phases and cross-thread-count comparisons were apples-to-oranges. These tests pin the fix: a capped-to-1 run
 //! (inline route) and a capped-to-4 run (pooled route) must both surface
 //! `pool_queue_wait`, `pool_chunk`, and `pool_submit` spans.
 //!

@@ -18,12 +18,12 @@ use integration_tests::{test_run_config, test_seed};
 use mwrepair::{effective_arms, repair_observed, repair_with_ledger, MwRepairConfig};
 use mwu_core::trace::{JsonlSink, NullObserver, Observer, TraceEvent};
 use mwu_core::{
-    run_to_convergence, run_to_convergence_observed, run_with_regret_observed, CommStats,
-    DistributedConfig, DistributedMwu, RunConfig, RunOutcome, SlateConfig, SlateMwu,
-    StandardConfig, StandardMwu, Variant,
+    run_to_convergence_observed, run_with_regret_observed, Bandit, CommStats, DistributedConfig,
+    DistributedMwu, RunConfig, RunOutcome, SlateConfig, SlateMwu, StandardConfig, StandardMwu,
+    Variant,
 };
 use mwu_datasets::{catalog, Dataset};
-use mwu_experiments::{replicate_seed, run_cell_observed, GridConfig};
+use mwu_experiments::{replicate_seed, run_grid_observed, GridConfig};
 
 /// Collects every event, preserving order.
 #[derive(Default)]
@@ -244,6 +244,47 @@ fn regret_runs_emit_deterministic_traces_too() {
     assert_eq!(a, b, "same-seed regret traces differ");
 }
 
+/// A regret run is the convergence run's loop with the horizon forced to
+/// full length: at `run_past_convergence: true` both emit the same bytes,
+/// convergence marker included, for every variant.
+#[test]
+fn regret_traces_equal_full_horizon_convergence_traces() {
+    let d = catalog::by_name("random64").unwrap();
+    for (i, variant) in VARIANTS.iter().enumerate() {
+        let cfg = RunConfig {
+            max_iterations: 1_500,
+            seed: test_seed(30, i as u64),
+            run_past_convergence: true,
+        };
+        let expected = jsonl_trace(variant, &d, &cfg);
+        let k = d.size();
+        let mut bandit = d.bandit();
+        let mut sink = JsonlSink::new(Vec::new());
+        let curve = match *variant {
+            "standard" => {
+                let mut alg = StandardMwu::new(k, StandardConfig::default());
+                run_with_regret_observed(&mut alg, &mut bandit, &cfg, &mut sink)
+            }
+            "slate" => {
+                let mut alg = SlateMwu::new(k, SlateConfig::default());
+                run_with_regret_observed(&mut alg, &mut bandit, &cfg, &mut sink)
+            }
+            _ => {
+                let mut alg = DistributedMwu::try_new(k, DistributedConfig::default()).unwrap();
+                run_with_regret_observed(&mut alg, &mut bandit, &cfg, &mut sink)
+            }
+        };
+        assert_eq!(curve.per_cycle.len(), cfg.max_iterations, "{variant}");
+        assert_eq!(curve.probes, bandit.pulls(), "{variant}");
+        let trace = sink.into_inner();
+        assert!(
+            String::from_utf8_lossy(&trace).contains("\"Convergence\""),
+            "{variant}: the horizon should cover convergence"
+        );
+        assert_eq!(trace, expected, "{variant}: regret trace differs");
+    }
+}
+
 // ---------------------------------------------------------------- leg 3 —
 
 #[test]
@@ -255,7 +296,7 @@ fn grid_replicate_headers_re_run_to_the_traced_outcome() {
         seed: test_seed(27, 0),
     };
     let mut sink = JsonlSink::new(Vec::new());
-    run_cell_observed(Variant::Standard, &d, &grid, &mut sink);
+    run_grid_observed(std::slice::from_ref(&d), &grid, &mut sink);
     let text = String::from_utf8(sink.into_inner()).unwrap();
 
     let mut replicates = 0;
@@ -265,11 +306,15 @@ fn grid_replicate_headers_re_run_to_the_traced_outcome() {
             continue;
         };
         replicates += 1;
+        let variant = Variant::ALL
+            .into_iter()
+            .find(|v| v.name() == rep.algorithm)
+            .expect("header names a variant");
         // The header's seed is the documented derivation...
         assert_eq!(
             rep.run_seed,
-            replicate_seed(Variant::Standard, &d, grid.seed, rep.replicate),
-            "replicate {} header seed mismatch",
+            replicate_seed(variant, &d, grid.seed, rep.replicate),
+            "{variant} replicate {} header seed mismatch",
             rep.replicate
         );
         // ...and (run_seed, max_iterations) alone re-runs the replicate.
@@ -278,16 +323,14 @@ fn grid_replicate_headers_re_run_to_the_traced_outcome() {
             seed: rep.run_seed,
             run_past_convergence: false,
         };
-        let mut alg = StandardMwu::new(d.size(), StandardConfig::default());
-        let mut bandit = d.bandit();
-        let rerun = run_to_convergence(&mut alg, &mut bandit, &cfg);
+        let rerun = run_observed(variant.name(), &d, &cfg, &mut NullObserver);
         assert_eq!(
             rerun, rep.outcome,
-            "replicate {} did not reproduce from its trace header",
+            "{variant} replicate {} did not reproduce from its trace header",
             rep.replicate
         );
     }
-    assert_eq!(replicates, 3, "expected one Replicate event per replicate");
+    assert_eq!(replicates, 9, "expected one Replicate event per replicate");
 }
 
 #[test]
@@ -300,7 +343,7 @@ fn grid_cell_trace_is_deterministic_and_scheduling_independent() {
     };
     let run = || {
         let mut sink = JsonlSink::new(Vec::new());
-        run_cell_observed(Variant::Slate, &d, &grid, &mut sink);
+        run_grid_observed(std::slice::from_ref(&d), &grid, &mut sink);
         sink.into_inner()
     };
     assert_eq!(run(), run(), "same-seed cell traces differ");
