@@ -7,8 +7,9 @@
 
 use crate::interaction::InteractionModel;
 use crate::ledger::CostLedger;
-use crate::mutation::Mutation;
+use crate::mutation::{Mutation, RepairDraw, SafetyDraw};
 use crate::suite::TestSuite;
+use mwu_core::prof::{self, Phase};
 use mwu_core::rng::keyed_uniform;
 use serde::{Deserialize, Serialize};
 
@@ -51,26 +52,28 @@ pub struct WorldParams {
 ///    case it passes the bug tests too (maximum fitness).
 /// 3. Every evaluation costs one full suite run (charged to `ledger` if
 ///    provided).
+///
+/// Allocates nothing once this thread's pair-check buffer has grown to
+/// the composition size.
 pub fn evaluate_composition(
     world: &WorldParams,
     suite: &TestSuite,
     muts: &[Mutation],
     ledger: Option<&CostLedger>,
 ) -> ProbeOutcome {
+    let _span = prof::span(Phase::ProbeEvaluate);
     let cost_ms = suite.full_run_cost_ms();
     if let Some(l) = ledger {
         l.record_eval(cost_ms);
     }
 
-    let all_safe = muts
-        .iter()
-        .all(|m| m.is_safe(world.world_seed, world.safe_rate));
+    let safety = SafetyDraw::new(world.world_seed, world.safe_rate);
+    let all_safe = muts.iter().all(|m| safety.is_safe(m));
 
-    let ids: Vec<_> = muts.iter().map(|m| m.id()).collect();
     let survived = all_safe
         && world
             .interaction
-            .composition_survives(world.world_seed, &ids);
+            .composition_survives(world.world_seed, muts.iter().map(Mutation::id));
 
     if !survived {
         // A broken program fails between 1 and ~30 % of the required tests;
@@ -78,7 +81,7 @@ pub fn evaluate_composition(
         let frac = keyed_uniform(&[
             world.world_seed,
             0xBAD_F17,
-            ids.iter().fold(0u64, |a, m| a ^ m.0.rotate_left(13)),
+            muts.iter().fold(0u64, |a, m| a ^ m.id().0.rotate_left(13)),
         ]);
         let failed = 1 + (frac * 0.30 * suite.n_required() as f64) as u32;
         let fitness = suite.baseline_fitness().saturating_sub(failed);
@@ -90,9 +93,8 @@ pub fn evaluate_composition(
         };
     }
 
-    let repaired = muts
-        .iter()
-        .any(|m| m.is_repair(world.world_seed, world.defect_site, world.repair_rate));
+    let repair = RepairDraw::new(world.world_seed, world.defect_site, world.repair_rate);
+    let repaired = muts.iter().any(|m| repair.is_repair(m));
 
     ProbeOutcome {
         survived: true,

@@ -19,10 +19,18 @@
 //!   `(1−q)^x` and the repair density `x·(1−q)^x` is exactly the paper's
 //!   fitted `a·x·e^(−bx)` form, peaking at `x* ≈ −1/ln(1−q)`.
 
-use mwu_core::rng::keyed_bernoulli;
+use mwu_core::rng::{BernoulliThreshold, MixPrefix};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 use crate::mutation::MutationId;
+
+thread_local! {
+    /// The members checked so far by this thread's current pairwise
+    /// survival check: each id with its pair-key prefix. Kept between
+    /// calls so a check allocates nothing once the buffer has grown.
+    static PAIR_MEMBERS: RefCell<Vec<(u64, MixPrefix)>> = const { RefCell::new(Vec::new()) };
+}
 
 /// How composed mutations interact.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -62,30 +70,51 @@ impl InteractionModel {
     /// fitness)? Deterministic per (world, composition) under the pairwise
     /// model; deterministic per (world, mutation, cardinality-slot) under
     /// the decay model.
-    pub fn composition_survives(&self, world_seed: u64, muts: &[MutationId]) -> bool {
+    ///
+    /// Under the pairwise model the pair `{a ≤ b}` conflicts when
+    /// `keyed_bernoulli(p, &[world_seed, 0xC04F11C7, a, b])` hits. Whether
+    /// some pair conflicts does not depend on the order the pairs are
+    /// visited, so each member is checked against the members before it
+    /// as it enters. The key prefix up to `a` is folded once per member,
+    /// which leaves two `splitmix64` rounds per pair.
+    pub fn composition_survives(
+        &self,
+        world_seed: u64,
+        muts: impl IntoIterator<Item = MutationId>,
+    ) -> bool {
         match *self {
             InteractionModel::PairwiseConflict { p } => {
-                for i in 0..muts.len() {
-                    for j in (i + 1)..muts.len() {
-                        let (a, b) = if muts[i].0 <= muts[j].0 {
-                            (muts[i].0, muts[j].0)
-                        } else {
-                            (muts[j].0, muts[i].0)
-                        };
-                        if keyed_bernoulli(p, &[world_seed, 0xC0_4F11C7, a, b]) {
-                            return false;
+                let conflict = BernoulliThreshold::new(p);
+                let key = MixPrefix::new(&[world_seed, 0xC0_4F11C7]);
+                PAIR_MEMBERS.with(|members| {
+                    let mut members = members.borrow_mut();
+                    members.clear();
+                    for id in muts {
+                        let own = key.then(id.0);
+                        for &(other, other_key) in members.iter() {
+                            let pair = if other <= id.0 {
+                                other_key.then(id.0)
+                            } else {
+                                own.then(other)
+                            };
+                            if conflict.hit(pair.finish()) {
+                                return false;
+                            }
                         }
+                        members.push((id.0, own));
                     }
-                }
-                true
+                    true
+                })
             }
             InteractionModel::PerMutationDecay { q } => {
                 // Every mutation after the first risks breaking the
                 // composition; keyed on the mutation so re-testing the same
                 // composition gives the same verdict.
-                muts.iter()
+                let breaks = BernoulliThreshold::new(q);
+                let key = MixPrefix::new(&[world_seed, 0x000D_ECA1]);
+                muts.into_iter()
                     .skip(1)
-                    .all(|m| !keyed_bernoulli(q, &[world_seed, 0x000D_ECA1, m.0]))
+                    .all(|m| !breaks.hit(key.then(m.0).finish()))
             }
         }
     }
@@ -137,9 +166,9 @@ mod tests {
             InteractionModel::pairwise_with_optimum(48),
             InteractionModel::decay_with_optimum(48),
         ] {
-            assert!(model.composition_survives(1, &ids(&[5])));
+            assert!(model.composition_survives(1, ids(&[5])));
             assert!((model.expected_survival(1) - 1.0).abs() < 1e-12);
-            assert!(model.composition_survives(1, &[]));
+            assert!(model.composition_survives(1, []));
         }
     }
 
@@ -147,7 +176,10 @@ mod tests {
     fn survival_is_deterministic() {
         let m = InteractionModel::pairwise_with_optimum(10);
         let c = ids(&[1, 2, 3, 4, 5, 6, 7, 8]);
-        assert_eq!(m.composition_survives(9, &c), m.composition_survives(9, &c));
+        assert_eq!(
+            m.composition_survives(9, c.clone()),
+            m.composition_survives(9, c)
+        );
     }
 
     #[test]
@@ -155,7 +187,7 @@ mod tests {
         let m = InteractionModel::pairwise_with_optimum(5);
         let a = ids(&[10, 20, 30, 40]);
         let b = ids(&[40, 10, 30, 20]);
-        assert_eq!(m.composition_survives(3, &a), m.composition_survives(3, &b));
+        assert_eq!(m.composition_survives(3, a), m.composition_survives(3, b));
     }
 
     #[test]
@@ -208,7 +240,7 @@ mod tests {
             // Fresh random composition per trial (ids spaced to avoid
             // accidental pair reuse).
             let c: Vec<MutationId> = (0..x).map(|i| MutationId(t * 1000 + i * 7 + 1)).collect();
-            if m.composition_survives(77, &c) {
+            if m.composition_survives(77, c) {
                 survived += 1;
             }
         }

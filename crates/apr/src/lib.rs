@@ -52,6 +52,8 @@ pub mod mutation;
 pub mod pool;
 pub mod prioritize;
 pub mod program;
+#[cfg(test)]
+mod reference;
 pub mod scenario;
 pub mod suite;
 

@@ -8,7 +8,7 @@
 //! draws can be keyed deterministically.
 
 use crate::program::Program;
-use mwu_core::rng::keyed_bernoulli;
+use mwu_core::rng::{BernoulliThreshold, MixPrefix};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -94,14 +94,7 @@ impl Mutation {
     /// disruptive — constants chosen to keep the blended rate at
     /// `safe_rate`).
     pub fn is_safe(&self, world_seed: u64, safe_rate: f64) -> bool {
-        let op_factor = match self.op {
-            MutOp::Delete => 1.15,
-            MutOp::Insert => 1.00,
-            MutOp::Swap => 0.85,
-            MutOp::Replace => 1.00,
-        };
-        let p = (safe_rate * op_factor).clamp(0.0, 1.0);
-        keyed_bernoulli(p, &[world_seed, 0x5AFE, self.id().0])
+        SafetyDraw::new(world_seed, safe_rate).is_safe(self)
     }
 
     /// Is this safe mutation one that *repairs the defect* (passes the
@@ -115,16 +108,72 @@ impl Mutation {
     /// enumeration-ordered searches an outsized win (GenProg-style repairs
     /// are frequently far from the faulty statement).
     pub fn is_repair(&self, world_seed: u64, defect_site: usize, repair_rate: f64) -> bool {
-        let near = self.site.abs_diff(defect_site) <= 5;
-        let p = if near {
-            (repair_rate * 2.0).min(1.0)
+        RepairDraw::new(world_seed, defect_site, repair_rate).is_repair(self)
+    }
+}
+
+/// [`Mutation::is_safe`] for one world, with the draw's key prefix
+/// `[world_seed, 0x5AFE]` and its per-operator thresholds computed once,
+/// so each mutation costs two `splitmix64` rounds.
+#[derive(Debug)]
+pub(crate) struct SafetyDraw {
+    key: MixPrefix,
+    /// Indexed by [`MutOp::tag`].
+    thresholds: [BernoulliThreshold; 4],
+}
+
+impl SafetyDraw {
+    pub(crate) fn new(world_seed: u64, safe_rate: f64) -> Self {
+        let thresholds = MutOp::ALL.map(|op| {
+            let op_factor = match op {
+                MutOp::Delete => 1.15,
+                MutOp::Insert => 1.00,
+                MutOp::Swap => 0.85,
+                MutOp::Replace => 1.00,
+            };
+            BernoulliThreshold::new((safe_rate * op_factor).clamp(0.0, 1.0))
+        });
+        Self {
+            key: MixPrefix::new(&[world_seed, 0x5AFE]),
+            thresholds,
+        }
+    }
+
+    pub(crate) fn is_safe(&self, m: &Mutation) -> bool {
+        self.thresholds[m.op.tag() as usize].hit(self.key.then(m.id().0).finish())
+    }
+}
+
+/// [`Mutation::is_repair`] for one defect, with the draw's key prefix
+/// `[world_seed, 0xF1F0, defect_site]` and both thresholds computed once.
+#[derive(Debug)]
+pub(crate) struct RepairDraw {
+    key: MixPrefix,
+    defect_site: usize,
+    near: BernoulliThreshold,
+    far: BernoulliThreshold,
+}
+
+impl RepairDraw {
+    pub(crate) fn new(world_seed: u64, defect_site: usize, repair_rate: f64) -> Self {
+        Self {
+            // Keyed on the defect site as well: a repair fixes *this* bug,
+            // so sibling bugs of the same program draw independent repair
+            // sets over the shared safe-mutation space.
+            key: MixPrefix::new(&[world_seed, 0xF1F0, defect_site as u64]),
+            defect_site,
+            near: BernoulliThreshold::new((repair_rate * 2.0).min(1.0)),
+            far: BernoulliThreshold::new(repair_rate),
+        }
+    }
+
+    pub(crate) fn is_repair(&self, m: &Mutation) -> bool {
+        let threshold = if m.site.abs_diff(self.defect_site) <= 5 {
+            self.near
         } else {
-            repair_rate
+            self.far
         };
-        // Keyed on the defect site as well: a repair fixes *this* bug, so
-        // sibling bugs of the same program draw independent repair sets
-        // over the shared safe-mutation space.
-        keyed_bernoulli(p, &[world_seed, 0xF1F0, defect_site as u64, self.id().0])
+        threshold.hit(self.key.then(m.id().0).finish())
     }
 }
 

@@ -16,15 +16,36 @@
 
 use crate::evaluate::WorldParams;
 use crate::ledger::CostLedger;
-use crate::mutation::Mutation;
+use crate::mutation::{Mutation, SafetyDraw};
 use crate::program::Program;
 use crate::suite::TestSuite;
+use mwu_core::prof::{self, Phase};
 use mwu_core::rng::keyed_bernoulli;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::collections::HashSet;
+
+/// Per-thread scratch of [`MutationPool::sample_composition_into`].
+struct SampleScratch {
+    /// The identity permutation of `0..len`, as long as the largest pool
+    /// sampled on this thread. A draw swaps its prefix and undoes the
+    /// swaps before returning, so it is the identity between draws.
+    perm: Vec<usize>,
+    /// The swap partner `j` of each step of the current draw.
+    swaps: Vec<usize>,
+}
+
+thread_local! {
+    static SAMPLE_SCRATCH: RefCell<SampleScratch> = const {
+        RefCell::new(SampleScratch {
+            perm: Vec::new(),
+            swaps: Vec::new(),
+        })
+    };
+}
 
 /// A pool of individually-safe mutations for one program world.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -54,6 +75,7 @@ impl MutationPool {
         ledger: Option<&CostLedger>,
     ) -> Self {
         assert!(target_size > 0);
+        let _span = prof::span(Phase::PoolPrecompute);
         let sites = program.covered_sites(suite);
         assert!(!sites.is_empty(), "suite covers no statements");
 
@@ -64,6 +86,7 @@ impl MutationPool {
         // Upper bound on distinct candidates we can hope to draw.
         let space = sites.len() as u64 * program.len() as u64 * 4;
         let batch = (4 * target_size).clamp(64, 8192);
+        let safety = SafetyDraw::new(world.world_seed, world.safe_rate);
 
         while safe.len() < target_size && (seen.len() as u64) < space {
             // Generate a deduplicated batch sequentially (cheap)...
@@ -89,7 +112,7 @@ impl MutationPool {
                 // hint sizes chunks for that cost and keeps sub-batch-sized
                 // jobs off the pool entirely.
                 .with_cost_hint(100)
-                .map(|&m| (m, m.is_safe(world.world_seed, world.safe_rate)))
+                .map(|&m| (m, safety.is_safe(&m)))
                 .collect();
             tested += verdicts.len() as u64;
             if let Some(l) = ledger {
@@ -145,40 +168,51 @@ impl MutationPool {
     /// # Panics
     /// Panics if `x > len()`.
     pub fn sample_composition(&self, x: usize, rng: &mut SmallRng) -> Vec<Mutation> {
-        let mut idx = Vec::new();
         let mut out = Vec::with_capacity(x);
-        self.sample_composition_into(x, rng, &mut idx, &mut out);
+        self.sample_composition_into(x, rng, &mut out);
         out
     }
 
-    /// [`Self::sample_composition`] writing into caller-owned scratch: the
-    /// index permutation goes into `idx` and the composition into `out`
-    /// (both cleared first). Draws the identical RNG sequence as the
-    /// allocating form, so a probe loop that reuses per-thread scratch (a
-    /// [`mwu_core::ThreadArena`] buffer) produces byte-identical
-    /// compositions. The O(pool) permutation buffer is the allocation this
-    /// removes from the per-probe hot path.
-    pub fn sample_composition_into(
-        &self,
-        x: usize,
-        rng: &mut SmallRng,
-        idx: &mut Vec<usize>,
-        out: &mut Vec<Mutation>,
-    ) {
-        assert!(
-            x <= self.mutations.len(),
-            "requested {x} mutations from a pool of {}",
-            self.mutations.len()
-        );
+    /// [`Self::sample_composition`] into a caller-owned buffer (cleared
+    /// first), in O(x) time.
+    ///
+    /// The swaps run on this thread's persistent identity permutation and
+    /// are undone in reverse after the composition is read out. Step `i`
+    /// draws `gen_range(i..n)`, which depends only on `i` and `n`, so the
+    /// RNG calls and the composition are those of a partial Fisher–Yates
+    /// on a freshly built `0..n`. Allocates nothing once this thread's
+    /// scratch and `out` have grown to the pool and composition sizes.
+    ///
+    /// # Panics
+    /// Panics if `x > len()`.
+    pub fn sample_composition_into(&self, x: usize, rng: &mut SmallRng, out: &mut Vec<Mutation>) {
         let n = self.mutations.len();
-        idx.clear();
-        idx.extend(0..n);
-        for i in 0..x {
-            let j = rng.gen_range(i..n);
-            idx.swap(i, j);
-        }
+        assert!(x <= n, "requested {x} mutations from a pool of {n}");
+        let _span = prof::span(Phase::ProbeSample);
         out.clear();
-        out.extend(idx[..x].iter().map(|&i| self.mutations[i]));
+        out.reserve(x);
+        SAMPLE_SCRATCH.with(|scratch| {
+            let SampleScratch { perm, swaps } = &mut *scratch.borrow_mut();
+            let len = perm.len();
+            if len < n {
+                perm.extend(len..n);
+            }
+            swaps.clear();
+            swaps.reserve(x);
+            // From the first swap to the last undo nothing may unwind: a
+            // permutation left shuffled would corrupt every later draw on
+            // this thread. `i < x <= n` keeps the range non-empty and every
+            // index in bounds, and both pushes fit the reserved capacity.
+            for i in 0..x {
+                let j = rng.gen_range(i..n);
+                perm.swap(i, j);
+                swaps.push(j);
+            }
+            out.extend(perm[..x].iter().map(|&i| self.mutations[i]));
+            for (i, &j) in swaps.iter().enumerate().rev() {
+                perm.swap(i, j);
+            }
+        });
     }
 
     /// Incremental pool update when the suite gains a test (paper §III-C):
@@ -296,6 +330,42 @@ mod tests {
             let n = ids.len();
             ids.dedup();
             assert_eq!(ids.len(), n, "composition of {x} has duplicates");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn sampler_matches_the_oracle_and_restores_the_identity(
+            words in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..400),
+            x_pick in proptest::prelude::any::<usize>(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            // Cases of every size share this thread's permutation, so its
+            // prefix is reused across pools. Narrow words repeat members.
+            let pool = MutationPool::from_mutations(
+                words
+                    .iter()
+                    .map(|&w| Mutation {
+                        op: crate::MutOp::ALL[(w & 3) as usize],
+                        site: ((w >> 2) % 64) as usize,
+                        donor: ((w >> 8) % 64) as usize,
+                    })
+                    .collect(),
+            );
+            let n = pool.len();
+            let mut out = Vec::new();
+            for x in [0, x_pick % (n + 1), n] {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let mut oracle_rng = rng.clone();
+                pool.sample_composition_into(x, &mut rng, &mut out);
+                let expected = crate::reference::sample_composition(&pool, x, &mut oracle_rng);
+                proptest::prop_assert_eq!(&out, &expected);
+                proptest::prop_assert_eq!(&rng, &oracle_rng);
+                let identity = SAMPLE_SCRATCH.with(|s| {
+                    s.borrow().perm.iter().enumerate().all(|(i, &v)| i == v)
+                });
+                proptest::prop_assert!(identity, "permutation left shuffled after x = {}", x);
+            }
         }
     }
 

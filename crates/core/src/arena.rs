@@ -1,28 +1,26 @@
 //! Per-thread scratch arenas for pool participants.
 //!
-//! The parallel layers (the experiment grid, the MWRepair probe loop, the
-//! Fig. 4 estimators) run thousands of short independent units on pool
-//! workers. Each unit historically paid its own heap traffic — a fresh
-//! algorithm instance per grid replicate, a fresh index permutation per
-//! sampled composition — and on a busy pool those allocations all contend
-//! on the global allocator and drag freshly-faulted pages across cores.
+//! The experiment grid runs thousands of short independent replicates on
+//! pool workers. Each one historically paid its own heap traffic — a fresh
+//! algorithm instance per replicate — and on a busy pool those allocations
+//! all contend on the global allocator and drag freshly-faulted pages
+//! across cores.
 //!
 //! [`ThreadArena`] removes that contention structurally: every thread owns
-//! one arena (a `thread_local`), so taking and returning scratch is a plain
-//! `Vec` pop/push with **zero synchronization**. Buffers and whole
-//! algorithm instances persist across work units on the same worker; a
+//! one arena (a `thread_local`), so taking and returning an instance is a
+//! plain `Vec` pop/push with **zero synchronization**. Algorithm instances
+//! persist across work units on the same worker; a
 //! returned algorithm is [reset](StandardMwu::reset) to the exact state of
 //! a fresh construction before reuse, so trajectories are bit-identical
 //! whether the instance came from the arena or from `new` — the
 //! determinism contract of `docs/PARALLELISM.md` is indifferent to reuse.
 //!
 //! RNG streams are *not* arena state: they stay derived per work unit from
-//! stable keys (`replicate_seed`, `mix(seed, iteration, agent)`), exactly
-//! as before.
+//! stable keys (`replicate_seed`), exactly as before.
 //!
 //! ## Ownership rules
 //!
-//! * `take_*` hands out a cleared/reset value; `give_*` returns it for the
+//! * `take_*` hands out a reset instance; `give_*` returns it for the
 //!   next unit on this thread. Not returning a value is always safe — the
 //!   arena then simply allocates anew next time.
 //! * Keep arena borrows short: `ThreadArena::with` takes the thread-local
@@ -43,10 +41,9 @@ use std::cell::RefCell;
 /// most a handful of `(k, config)` shapes per thread.
 const MAX_CACHED_PER_VARIANT: usize = 4;
 
-/// Bounded pools of reusable scratch owned by one thread.
+/// Bounded pools of reusable algorithm instances owned by one thread.
 #[derive(Default)]
 pub struct ThreadArena {
-    usize_bufs: Vec<Vec<usize>>,
     standard: Vec<StandardMwu>,
     slate: Vec<SlateMwu>,
     distributed: Vec<DistributedMwu>,
@@ -68,20 +65,6 @@ impl ThreadArena {
     /// heavy work.
     pub fn with<R>(f: impl FnOnce(&mut ThreadArena) -> R) -> R {
         ARENA.with(|a| f(&mut a.borrow_mut()))
-    }
-
-    /// A cleared `Vec<usize>`, reusing a returned buffer's capacity.
-    pub fn take_usize(&mut self) -> Vec<usize> {
-        let mut buf = self.usize_bufs.pop().unwrap_or_default();
-        buf.clear();
-        buf
-    }
-
-    /// Return a `Vec<usize>` for reuse.
-    pub fn give_usize(&mut self, buf: Vec<usize>) {
-        if self.usize_bufs.len() < MAX_CACHED_PER_VARIANT {
-            self.usize_bufs.push(buf);
-        }
     }
 
     /// A [`StandardMwu`] over `k` arms under `config`: a cached instance
@@ -247,20 +230,16 @@ mod tests {
     }
 
     #[test]
-    fn buffers_keep_capacity_and_pools_stay_bounded() {
+    fn pools_stay_bounded() {
         let mut arena = ThreadArena::new();
-        let mut buf = arena.take_usize();
-        buf.extend(0..1000);
-        let cap = buf.capacity();
-        arena.give_usize(buf);
-        let again = arena.take_usize();
-        assert!(again.is_empty());
-        assert_eq!(again.capacity(), cap);
-
         for _ in 0..20 {
-            arena.give_usize(Vec::with_capacity(8));
+            arena.give_standard(StandardMwu::new(4, StandardConfig::default()));
+            arena.give_slate(SlateMwu::new(4, SlateConfig::default()));
+            arena.give_distributed(DistributedMwu::new(4, DistributedConfig::default()));
         }
-        assert!(arena.usize_bufs.len() <= MAX_CACHED_PER_VARIANT);
+        assert_eq!(arena.standard.len(), MAX_CACHED_PER_VARIANT);
+        assert_eq!(arena.slate.len(), MAX_CACHED_PER_VARIANT);
+        assert_eq!(arena.distributed.len(), MAX_CACHED_PER_VARIANT);
     }
 
     #[test]

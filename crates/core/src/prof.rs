@@ -4,8 +4,8 @@
 //! `docs/PERFORMANCE.md`): *where does the wall-clock go?* The profiler is a
 //! process-global, hierarchical span accumulator with a fixed taxonomy of
 //! [`Phase`]s spanning every layer of the stack — round kernels, the worker
-//! pool, the simulated network, the repair driver, and the persistence
-//! service.
+//! pool, the simulated network, the APR substrate, the repair driver, and
+//! the persistence service.
 //!
 //! ## Discipline
 //!
@@ -56,10 +56,11 @@ pub const PROFILE_SCHEMA: &str = "profile/v1";
 /// Statically-registered phase IDs — the complete span taxonomy.
 ///
 /// One variant per instrumented region, spanning every layer: the MWU round
-/// kernels, the vendored worker pool, the simnet executor, the repair
-/// driver, and the persistence service. The discriminant indexes the
-/// per-thread accumulator arrays, so the set is closed by design: adding a
-/// phase means adding a variant here (and to [`Phase::ALL`]).
+/// kernels, the vendored worker pool, the simnet executor, the APR
+/// substrate, the repair driver, and the persistence service. The
+/// discriminant indexes the per-thread accumulator arrays, so the set is
+/// closed by design: adding a phase means adding a variant here (and to
+/// [`Phase::ALL`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Phase {
@@ -90,6 +91,13 @@ pub enum Phase {
     GossipEncode,
     /// Gossip observation decode / apply (incorporate observed neighbors).
     GossipDecode,
+    /// APR substrate: drawing one probe's composition from the pool.
+    ProbeSample,
+    /// APR substrate: adjudicating one composition — one fitness
+    /// evaluation.
+    ProbeEvaluate,
+    /// APR substrate: precomputing a safe-mutation pool.
+    PoolPrecompute,
     /// Repair driver: one probe batch — patch evaluations for one iteration.
     ProbeLoop,
     /// Repair driver: serializing and atomically writing a checkpoint.
@@ -113,7 +121,7 @@ pub enum Phase {
 }
 
 /// Number of phases — length of every per-thread accumulator array.
-pub const NUM_PHASES: usize = 21;
+pub const NUM_PHASES: usize = 24;
 
 impl Phase {
     /// Every phase, in report order.
@@ -130,6 +138,9 @@ impl Phase {
         Phase::SimRoundBarrier,
         Phase::GossipEncode,
         Phase::GossipDecode,
+        Phase::ProbeSample,
+        Phase::ProbeEvaluate,
+        Phase::PoolPrecompute,
         Phase::ProbeLoop,
         Phase::CheckpointWrite,
         Phase::SliceRun,
@@ -156,6 +167,9 @@ impl Phase {
             Phase::SimRoundBarrier => "sim_round_barrier",
             Phase::GossipEncode => "gossip_encode",
             Phase::GossipDecode => "gossip_decode",
+            Phase::ProbeSample => "probe_sample",
+            Phase::ProbeEvaluate => "probe_evaluate",
+            Phase::PoolPrecompute => "pool_precompute",
             Phase::ProbeLoop => "probe_loop",
             Phase::CheckpointWrite => "checkpoint_write",
             Phase::SliceRun => "slice_run",

@@ -28,11 +28,64 @@ pub fn splitmix64(state: u64) -> u64 {
 /// `mix(&[experiment, scenario, replicate])` yields a seed that differs in
 /// ~50 % of bits when any single label changes.
 pub fn mix(labels: &[u64]) -> u64 {
-    let mut acc = 0x51_7C_C1_B7_27_22_0A_95u64;
-    for &l in labels {
-        acc = splitmix64(acc ^ l.rotate_left(17));
+    MixPrefix::new(labels).finish()
+}
+
+/// A [`mix`] stopped after a prefix of its labels.
+///
+/// `mix` folds its labels left to right, one [`splitmix64`] round each,
+/// then finishes with one more round. Draws that share leading labels
+/// (a world seed and a tag, say) can fold those once and pay only for the
+/// rest: `MixPrefix::new(&[a, b]).then(c).finish() == mix(&[a, b, c])`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MixPrefix(u64);
+
+impl MixPrefix {
+    /// The state after folding `labels`.
+    pub fn new(labels: &[u64]) -> Self {
+        labels
+            .iter()
+            .fold(Self(0x51_7C_C1_B7_27_22_0A_95), |acc, &l| acc.then(l))
     }
-    splitmix64(acc)
+
+    /// Fold one more label (one `splitmix64` round).
+    #[inline]
+    pub fn then(self, label: u64) -> Self {
+        Self(splitmix64(self.0 ^ label.rotate_left(17)))
+    }
+
+    /// The mixed value of the labels folded so far (one `splitmix64` round).
+    #[inline]
+    pub fn finish(self) -> u64 {
+        splitmix64(self.0)
+    }
+}
+
+/// The Bernoulli(p) verdict of [`keyed_bernoulli`] as an integer compare.
+///
+/// A keyed draw maps a hash `h` to `u = (h >> 11) · 2⁻⁵³`, and the draw hits
+/// when `u < p`. Both sides are exact: `h >> 11` has 53 bits, so `u` is
+/// exactly `k / 2⁵³` for the integer `k = h >> 11`, and scaling `p` by 2⁵³
+/// rounds nothing. For an integer `k`, `k < p·2⁵³` holds exactly when
+/// `k < ⌈p·2⁵³⌉`. So the threshold `⌈p·2⁵³⌉` gives the same verdict as the
+/// float compare for every `p` and `h`. Out-of-range `p` saturates the same
+/// way in release builds (debug builds assert `0 ≤ p ≤ 1`): a negative or
+/// NaN `p` never hits, `p ≥ 1` always does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BernoulliThreshold(u64);
+
+impl BernoulliThreshold {
+    /// The threshold for probability `p`.
+    pub fn new(p: f64) -> Self {
+        debug_assert!((0.0..=1.0).contains(&p));
+        Self((p * (1u64 << 53) as f64).ceil() as u64)
+    }
+
+    /// Does the draw keyed by hash `h` hit?
+    #[inline]
+    pub fn hit(self, h: u64) -> bool {
+        (h >> 11) < self.0
+    }
 }
 
 /// Construct a [`SmallRng`] from a base seed and a list of stream labels.
@@ -50,10 +103,7 @@ pub fn rng_for(seed: u64, labels: &[u64]) -> SmallRng {
 /// always safe or always unsafe for a given world seed), while still being
 /// marginally Bernoulli(p) across mutations. The draw consumes no RNG state.
 pub fn keyed_bernoulli(p: f64, labels: &[u64]) -> bool {
-    debug_assert!((0.0..=1.0).contains(&p));
-    // Map the mixed hash to [0, 1) with 53-bit precision.
-    let u = (mix(labels) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-    u < p
+    BernoulliThreshold::new(p).hit(mix(labels))
 }
 
 /// Deterministic uniform draw in `[0, 1)` keyed by labels (no RNG state).
@@ -64,6 +114,75 @@ pub fn keyed_uniform(labels: &[u64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Oracle: the label loop `mix` ran before [`MixPrefix`].
+    fn mix_loop(labels: &[u64]) -> u64 {
+        let mut acc = 0x51_7C_C1_B7_27_22_0A_95u64;
+        for &l in labels {
+            acc = splitmix64(acc ^ l.rotate_left(17));
+        }
+        splitmix64(acc)
+    }
+
+    /// Oracle: the float compare `keyed_bernoulli` ran before
+    /// [`BernoulliThreshold`], on a given hash.
+    fn float_hit(p: f64, h: u64) -> bool {
+        let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        u < p
+    }
+
+    /// Probabilities on and next to the 2⁻⁵³ grid, where a rounding slip
+    /// in the threshold would show: 0, 1, k/2⁵³ and one ulp either side.
+    fn grid_edges(k: u64) -> Vec<f64> {
+        let p = k as f64 / (1u64 << 53) as f64;
+        let mut out = vec![0.0, 1.0, p];
+        if p > 0.0 {
+            out.push(f64::from_bits(p.to_bits() - 1));
+        }
+        if p < 1.0 {
+            out.push(f64::from_bits(p.to_bits() + 1));
+        }
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn mix_prefix_matches_the_label_loop_at_every_split(
+            labels in prop::collection::vec(any::<u64>(), 0..7),
+        ) {
+            let whole = mix_loop(&labels);
+            prop_assert_eq!(mix(&labels), whole);
+            for cut in 0..=labels.len() {
+                let prefix = MixPrefix::new(&labels[..cut]);
+                let folded = labels[cut..].iter().fold(prefix, |acc, &l| acc.then(l));
+                prop_assert_eq!(folded.finish(), whole);
+            }
+        }
+
+        #[test]
+        fn threshold_matches_the_float_compare(
+            p in 0.0f64..=1.0,
+            k in 0u64..(1u64 << 53),
+            low in 0u64..(1u64 << 11),
+            labels in prop::collection::vec(any::<u64>(), 1..5),
+        ) {
+            // Hashes at, just below and just above the grid point of p,
+            // plus one keyed hash.
+            let at = (p * (1u64 << 53) as f64) as u64;
+            let mut hashes = vec![mix(&labels), (k << 11) | low];
+            for kk in [at.saturating_sub(1), at, at + 1] {
+                hashes.push((kk.min((1u64 << 53) - 1) << 11) | low);
+            }
+            for q in [p].into_iter().chain(grid_edges(k)).chain(grid_edges(at)) {
+                let t = BernoulliThreshold::new(q);
+                for &h in &hashes {
+                    prop_assert_eq!(t.hit(h), float_hit(q, h), "p {} h {:#x}", q, h);
+                }
+                prop_assert_eq!(keyed_bernoulli(q, &labels), float_hit(q, mix(&labels)));
+            }
+        }
+    }
 
     #[test]
     fn splitmix_is_deterministic() {

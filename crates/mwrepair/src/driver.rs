@@ -43,8 +43,14 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::path::PathBuf;
 use std::sync::Arc;
+
+thread_local! {
+    /// This thread's probe composition, reused across probes.
+    static COMPOSITION: RefCell<Vec<Mutation>> = const { RefCell::new(Vec::new()) };
+}
 
 /// How probe outcomes map to bandit rewards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -271,18 +277,14 @@ where
             .map(|(agent, &arm)| {
                 let x = arm + 1;
                 let mut agent_rng = SmallRng::seed_from_u64(mix(&[seed, t as u64, agent as u64]));
-                // The O(pool) sampling permutation lives in this worker's
-                // persistent arena instead of being reallocated per probe.
-                let mut idx = mwu_core::ThreadArena::with(|a| a.take_usize());
-                let mut comp = Vec::new();
-                pool.sample_composition_into(
-                    x.min(pool.len()),
-                    &mut agent_rng,
-                    &mut idx,
-                    &mut comp,
-                );
-                mwu_core::ThreadArena::with(move |a| a.give_usize(idx));
-                let out = scenario.evaluate(&comp, ledger);
+                // The composition lives in this worker's buffer; only a
+                // repairing probe copies it out.
+                let (out, repair) = COMPOSITION.with(|comp| {
+                    let mut comp = comp.borrow_mut();
+                    pool.sample_composition_into(x.min(pool.len()), &mut agent_rng, &mut comp);
+                    let out = scenario.evaluate(&comp, ledger);
+                    (out, out.repaired.then(|| comp.clone()))
+                });
                 let reward = match config.reward {
                     RewardMode::FitnessRetained => {
                         if out.survived {
@@ -302,7 +304,7 @@ where
                 ProbeResult {
                     reward,
                     survived: out.survived,
-                    repair: if out.repaired { Some(comp) } else { None },
+                    repair,
                     cost_ms: out.cost_ms,
                     arm,
                 }

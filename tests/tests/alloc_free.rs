@@ -1,15 +1,17 @@
-//! Steady-state allocation audit for the MWU round kernels.
+//! Steady-state allocation audit for the MWU round kernels and the APR
+//! probe.
 //!
 //! A counting global allocator wraps the system allocator; after a warmup
 //! phase (which is allowed to grow every scratch buffer to its steady-state
 //! capacity) the counter is armed and each algorithm runs additional
-//! plan → pull → update rounds. The assertion is exact: **zero** heap
-//! allocations on the armed rounds, for every algorithm the round-kernel
-//! refactor covers.
+//! plan → pull → update rounds, and the probe samples and evaluates more
+//! compositions. The assertion is exact: **zero** heap allocations on the
+//! armed rounds and probes.
 //!
 //! Everything runs inside a single `#[test]` because a global allocator is
 //! process-wide state: parallel test threads would alias the counter.
 
+use apr_sim::{evaluate_composition, BugScenario};
 use mwu_core::alternatives::{Exp3, HedgeConfig, HedgeMwu};
 use mwu_core::prelude::*;
 use rand::rngs::SmallRng;
@@ -98,6 +100,46 @@ fn audit(name: &str, alg: &mut dyn MwuAlgorithm, k: usize, warmup: usize, armed_
     );
 }
 
+/// Audit the APR probe on the 2 000-member `units` pool: warm up unarmed
+/// (this thread's sampler and pair-check scratch grow), then sample and
+/// evaluate armed at x ∈ {1, 96, 512}.
+fn audit_probes() {
+    let scenario = BugScenario::by_name("units").expect("catalog scenario");
+    let pool = scenario.build_pool(1, None);
+    assert_eq!(pool.len(), 2_000);
+    let mut comp = Vec::new();
+    let mut probe = |x: usize, seed: u64| {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        pool.sample_composition_into(x, &mut rng, &mut comp);
+        evaluate_composition(&scenario.world, &scenario.suite, &comp, None).survived
+    };
+    for x in [1usize, 96, 512] {
+        for seed in 0..20 {
+            probe(x, seed);
+        }
+    }
+
+    for x in [1usize, 96, 512] {
+        ALLOCS.store(0, Ordering::SeqCst);
+        ARMED.store(true, Ordering::SeqCst);
+        let survived = (100..150).filter(|&seed| probe(x, seed)).count();
+        ARMED.store(false, Ordering::SeqCst);
+        let count = ALLOCS.load(Ordering::SeqCst);
+        assert_eq!(
+            count, 0,
+            "probe x={x}: {count} heap allocations in 50 probes"
+        );
+        // Small compositions survive and large ones break, so both exits
+        // of the pair check ran armed.
+        if x == 1 {
+            assert_eq!(survived, 50);
+        }
+        if x == 512 {
+            assert_eq!(survived, 0);
+        }
+    }
+}
+
 #[test]
 fn steady_state_rounds_allocate_nothing() {
     let k = 256;
@@ -116,4 +158,6 @@ fn steady_state_rounds_allocate_nothing() {
 
     let mut exp3 = Exp3::new(k, 0.05);
     audit("exp3", &mut exp3, k, 200, 100);
+
+    audit_probes();
 }

@@ -289,9 +289,9 @@ proptest! {
     ) {
         let m = InteractionModel::pairwise_with_optimum(opt);
         let mut v: Vec<MutationId> = ids.into_iter().map(MutationId).collect();
-        let forward = m.composition_survives(world, &v);
+        let forward = m.composition_survives(world, v.iter().copied());
         v.reverse();
-        prop_assert_eq!(forward, m.composition_survives(world, &v));
+        prop_assert_eq!(forward, m.composition_survives(world, v.iter().copied()));
     }
 
     #[test]
