@@ -34,14 +34,6 @@ pub enum TestOrder {
     /// Cheapest test first: minimizes the cost of reaching *a* failure
     /// when failures are spread uniformly.
     CheapestFirst,
-    /// Highest failure-probability per unit cost first: the standard
-    /// prioritization heuristic. Failure probability per test is estimated
-    /// from the composition-failure model (a broken composition fails each
-    /// required test with roughly the same marginal probability, so this
-    /// reduces to cheapest-first here unless callers supply weights —
-    /// retained as a distinct variant because the ordering differs once
-    /// historical weights are attached).
-    DiscriminatingFirst,
 }
 
 impl TestOrder {
@@ -55,7 +47,7 @@ impl TestOrder {
             .collect();
         match self {
             TestOrder::SuiteOrder => {}
-            TestOrder::CheapestFirst | TestOrder::DiscriminatingFirst => {
+            TestOrder::CheapestFirst => {
                 required.sort_by_key(|&id| suite.tests()[id].cost_ms);
             }
         }
@@ -168,11 +160,7 @@ mod tests {
     #[test]
     fn orders_cover_all_required_tests() {
         let (s, _) = setup();
-        for order in [
-            TestOrder::SuiteOrder,
-            TestOrder::CheapestFirst,
-            TestOrder::DiscriminatingFirst,
-        ] {
+        for order in [TestOrder::SuiteOrder, TestOrder::CheapestFirst] {
             let o = order.order(&s.suite);
             assert_eq!(o.len(), s.suite.n_required());
             let mut sorted = o.clone();

@@ -106,17 +106,6 @@ impl Program {
             .map(|s| s.id)
             .collect()
     }
-
-    /// Fast approximation of [`Program::covered_sites`]: statements whose
-    /// coverage probability is high enough that at least one of `n_tests`
-    /// tests covers them with near-certainty. Exact enumeration is used by
-    /// the pool builder; this is used in hot paths that only need counts.
-    pub fn likely_covered_count(&self, n_tests: usize) -> usize {
-        self.statements
-            .iter()
-            .filter(|s| 1.0 - (1.0 - s.coverage).powi(n_tests as i32) > 0.99)
-            .count()
-    }
 }
 
 #[cfg(test)]

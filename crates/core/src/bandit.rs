@@ -46,17 +46,6 @@ pub trait Bandit {
     fn best_value(&self) -> f64 {
         self.expected_value(self.best_arm())
     }
-
-    /// Accuracy of choosing `arm`, as the paper's Table III defines it:
-    /// `100 · (1 − |v* − v_arm| / v*)`, i.e. the percentage of the
-    /// best-in-hindsight value that the chosen arm attains.
-    fn accuracy_of(&self, arm: usize) -> f64 {
-        let best = self.best_value();
-        if best <= 0.0 {
-            return 100.0;
-        }
-        100.0 * (1.0 - (best - self.expected_value(arm)).abs() / best)
-    }
 }
 
 /// How observed rewards are generated from an arm's true value.
@@ -116,11 +105,6 @@ impl ValueBandit {
     /// The underlying value vector.
     pub fn values(&self) -> &[f64] {
         &self.values
-    }
-
-    /// Reset the pull counter (e.g. between replicates sharing a dataset).
-    pub fn reset_pulls(&mut self) {
-        self.pulls = 0;
     }
 }
 
@@ -211,18 +195,10 @@ mod tests {
     }
 
     #[test]
-    fn best_arm_and_accuracy() {
+    fn best_arm_and_best_value() {
         let b = ValueBandit::exact(vec![0.1, 0.9, 0.45]);
         assert_eq!(b.best_arm(), 1);
         assert!((b.best_value() - 0.9).abs() < 1e-12);
-        assert!((b.accuracy_of(1) - 100.0).abs() < 1e-9);
-        assert!((b.accuracy_of(2) - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn accuracy_with_zero_best_is_full() {
-        let b = ValueBandit::exact(vec![0.0, 0.0]);
-        assert_eq!(b.accuracy_of(0), 100.0);
     }
 
     #[test]

@@ -64,32 +64,6 @@ pub enum ConvergenceCriterion {
 }
 
 impl ConvergenceCriterion {
-    /// Standard's criterion with the paper's defaults.
-    pub fn standard_default() -> Self {
-        ConvergenceCriterion::LeaderShareStabilized {
-            tolerance: DEFAULT_TOLERANCE,
-            window: DEFAULT_STABILITY_WINDOW,
-        }
-    }
-
-    /// Slate's criterion: the leader's slate-inclusion probability within
-    /// tolerance of its saturation ceiling (`max_possible`, normally 1).
-    /// Reachable even among near-tied options because up to `s` options can
-    /// saturate the 1/s weight cap simultaneously.
-    pub fn slate_default(max_possible: f64) -> Self {
-        ConvergenceCriterion::WithinToleranceOfMax {
-            tolerance: DEFAULT_TOLERANCE,
-            max_possible,
-        }
-    }
-
-    /// Distributed's criterion with the paper's 30 % threshold.
-    pub fn distributed_default() -> Self {
-        ConvergenceCriterion::PopulationShare {
-            share: DEFAULT_POPULATION_SHARE,
-        }
-    }
-
     /// Does a single observation satisfy a *memoryless* criterion? For
     /// [`ConvergenceCriterion::LeaderShareStabilized`] this returns false —
     /// stabilization needs the trajectory, which [`ConvergenceState`]
@@ -235,13 +209,18 @@ mod tests {
     #[test]
     fn stabilized_is_met_is_trajectory_based() {
         // The memoryless check can never pass for stabilization.
-        let c = ConvergenceCriterion::standard_default();
+        let c = ConvergenceCriterion::LeaderShareStabilized {
+            tolerance: DEFAULT_TOLERANCE,
+            window: DEFAULT_STABILITY_WINDOW,
+        };
         assert!(!c.is_met(1.0));
     }
 
     #[test]
     fn population_share_criterion() {
-        let c = ConvergenceCriterion::distributed_default();
+        let c = ConvergenceCriterion::PopulationShare {
+            share: DEFAULT_POPULATION_SHARE,
+        };
         assert!(!c.is_met(0.29));
         assert!(c.is_met(0.30));
         assert!(c.is_met(0.9));

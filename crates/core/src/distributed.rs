@@ -571,12 +571,6 @@ impl DistributedMwu {
         self.plan_usize
             .extend(self.observed.iter().map(|&o| o as usize));
     }
-
-    /// Access the raw per-agent observation buffer (u32), useful for
-    /// zero-copy integration with `simnet`.
-    pub fn observed_raw(&self) -> &[u32] {
-        &self.observed
-    }
 }
 
 #[cfg(test)]

@@ -31,18 +31,6 @@ pub struct RegretCurve {
 }
 
 impl RegretCurve {
-    /// Running mean of the per-cycle policy regret — the anytime-normalized
-    /// quantity used for cross-algorithm comparison.
-    pub fn running_mean(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.per_cycle.len());
-        let mut acc = 0.0;
-        for (i, r) in self.per_cycle.iter().enumerate() {
-            acc += r;
-            out.push(acc / (i + 1) as f64);
-        }
-        out
-    }
-
     /// Mean per-probe regret over the final quarter of the run — the
     /// "converged" regret level.
     pub fn tail_mean(&self) -> f64 {
@@ -141,15 +129,6 @@ mod tests {
             late < early / 2.0,
             "late regret {late} not well below early {early}"
         );
-    }
-
-    #[test]
-    fn running_mean_is_monotone_where_regret_vanishes() {
-        let c = curve(4, 300);
-        let rm = c.running_mean();
-        assert_eq!(rm.len(), 300);
-        // The running mean ends below its early value.
-        assert!(rm[299] < rm[20]);
     }
 
     #[test]

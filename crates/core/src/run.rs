@@ -77,7 +77,9 @@ pub struct RunOutcome {
 
 impl RunOutcome {
     /// Table III accuracy against a ground-truth value vector:
-    /// `100·(1 − |v* − v_leader|/v*)`.
+    /// `100·(1 − |v* − v_leader|/v*)`, the percentage of the
+    /// best-in-hindsight value the leader attains (100 when `v* ≤ 0`). The
+    /// grid and every experiment binary score runs with it.
     pub fn accuracy(&self, values: &[f64]) -> f64 {
         let best = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         if best <= 0.0 {
@@ -230,6 +232,8 @@ mod tests {
         assert_eq!(out.cpu_iterations, out.iterations as u64 * 4);
         assert_eq!(out.pulls, out.cpu_iterations);
         assert!((out.accuracy(&[0.1, 0.9, 0.2, 0.3]) - 100.0).abs() < 1e-9);
+        // A leader holding half the best value scores 50 %.
+        assert!((out.accuracy(&[0.1, 0.45, 0.9]) - 50.0).abs() < 1e-9);
     }
 
     #[test]

@@ -67,15 +67,6 @@ impl Dataset {
     pub fn best_value(&self) -> f64 {
         self.values[self.best_arm()]
     }
-
-    /// Table III accuracy of choosing `arm` on this dataset.
-    pub fn accuracy_of(&self, arm: usize) -> f64 {
-        let best = self.best_value();
-        if best <= 0.0 {
-            return 100.0;
-        }
-        100.0 * (1.0 - (best - self.values[arm]).abs() / best)
-    }
 }
 
 /// Dataset-generation seed: fixed so the whole catalog is reproducible
@@ -194,13 +185,6 @@ mod tests {
         use mwu_core::bandit::Bandit;
         assert_eq!(b.num_arms(), 64);
         assert_eq!(b.best_arm(), d.best_arm());
-    }
-
-    #[test]
-    fn accuracy_of_best_arm_is_100() {
-        for d in full_catalog() {
-            assert!((d.accuracy_of(d.best_arm()) - 100.0).abs() < 1e-9);
-        }
     }
 
     #[test]

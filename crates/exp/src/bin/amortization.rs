@@ -13,10 +13,12 @@
 
 use apr_sim::{BugScenario, CostLedger};
 use mwrepair::{repair_with_variant, MwRepairConfig, VariantChoice};
-use mwu_experiments::{render_table, write_results_csv, CommonArgs};
+use mwu_experiments::cli::{Args, OUT, PROFILE, QUIET, SEED, THREADS};
+use mwu_experiments::render_table;
 
 fn main() {
-    let args = CommonArgs::from_env();
+    let args = Args::from_env("amortization", &[SEED, OUT, THREADS, PROFILE, QUIET]);
+    let seed = args.seed();
     let base = BugScenario::by_name("units").expect("catalog scenario");
     let n_bugs = 8usize;
     let bugs: Vec<BugScenario> = (0..n_bugs as u64).map(|i| base.sibling_bug(i)).collect();
@@ -28,7 +30,7 @@ fn main() {
 
     // Amortized: one pool, many bugs.
     let amortized = CostLedger::new();
-    let pool = base.build_pool(args.seed, Some(&amortized));
+    let pool = base.build_pool(seed, Some(&amortized));
     let mut amortized_cum = Vec::new();
     let mut repaired_amortized = 0;
     for (i, bug) in bugs.iter().enumerate() {
@@ -36,7 +38,7 @@ fn main() {
             bug,
             &pool,
             VariantChoice::Standard,
-            &MwRepairConfig::seeded(mwu_core::rng::mix(&[args.seed, 1, i as u64])),
+            &MwRepairConfig::seeded(mwu_core::rng::mix(&[seed, 1, i as u64])),
             Some(&amortized),
         )
         .expect("tractable");
@@ -51,12 +53,12 @@ fn main() {
     let mut per_bug_cum = Vec::new();
     let mut repaired_per_bug = 0;
     for (i, bug) in bugs.iter().enumerate() {
-        let fresh_pool = bug.build_pool(args.seed ^ (i as u64 + 1), Some(&per_bug));
+        let fresh_pool = bug.build_pool(seed ^ (i as u64 + 1), Some(&per_bug));
         let out = repair_with_variant(
             bug,
             &fresh_pool,
             VariantChoice::Standard,
-            &MwRepairConfig::seeded(mwu_core::rng::mix(&[args.seed, 2, i as u64])),
+            &MwRepairConfig::seeded(mwu_core::rng::mix(&[seed, 2, i as u64])),
             Some(&per_bug),
         )
         .expect("tractable");
@@ -108,8 +110,7 @@ fn main() {
     println!("online probes; the per-bug curve re-pays the dominant precompute cost");
     println!("for every bug — the gap widens linearly in the number of bugs.");
 
-    let path = write_results_csv(
-        &args.out_dir,
+    args.write_csv(
         "amortization.csv",
         &[
             "bugs",
@@ -119,8 +120,6 @@ fn main() {
             "per_bug_latency",
         ],
         &csv,
-    )
-    .expect("write amortization.csv");
-    eprintln!("wrote {}", path.display());
+    );
     args.write_profile();
 }

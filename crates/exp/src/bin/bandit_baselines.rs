@@ -11,11 +11,12 @@ use mwu_core::alternatives::{EpsilonGreedy, Exp3, HedgeConfig, HedgeMwu, Ucb1};
 use mwu_core::prelude::*;
 use mwu_core::stats::RunningStats;
 use mwu_datasets::catalog;
-use mwu_experiments::{render_table, write_results_csv, CommonArgs};
+use mwu_experiments::cli::{Args, SWEEP};
+use mwu_experiments::render_table;
 
 fn main() {
-    let args = CommonArgs::from_env();
-    let reps = args.replicates.clamp(3, 30);
+    let args = Args::from_env("bandit_baselines", SWEEP);
+    let reps = args.replicates().clamp(3, 30);
     let datasets = [
         catalog::by_name("random256").unwrap(),
         catalog::by_name("unimodal256").unwrap(),
@@ -41,7 +42,7 @@ fn main() {
             let mut cpus = 0usize;
             let mut conv = 0usize;
             for rep in 0..reps {
-                let seed = mwu_core::rng::mix(&[args.seed, rep as u64, k as u64]);
+                let seed = mwu_core::rng::mix(&[args.seed(), rep as u64, k as u64]);
                 let cfg = RunConfig::seeded(seed).with_max_iterations(
                     // Sequential strategies pull once per cycle; give them
                     // a pull budget comparable to the parallel variants.
@@ -140,8 +141,7 @@ fn main() {
     println!("in the APR setting — the parallel MWU variants compress that wall-");
     println!("clock cost into a handful of synchronized cycles.");
 
-    let path = write_results_csv(
-        &args.out_dir,
+    args.write_csv(
         "bandit_baselines.csv",
         &[
             "dataset",
@@ -153,8 +153,6 @@ fn main() {
             "converged",
         ],
         &csv,
-    )
-    .expect("write bandit_baselines.csv");
-    eprintln!("wrote {}", path.display());
+    );
     args.write_profile();
 }

@@ -22,18 +22,22 @@
 //! The binary exits non-zero if any weight/share vector leaves the finite
 //! simplex — that is the CI chaos-smoke invariant.
 //!
-//! Extra flags (before the common ones): `--rates LIST` (comma-separated
-//! fault rates, default `0,0.05,0.1,0.2`), `--size K` (arms, default 8),
-//! `--max-iterations N` (cap per run, default 2000).
+//! Flags: `--rates LIST` (comma-separated fault rates in [0, 1], default
+//! `0,0.05,0.1,0.2`), `--size K` (arms, default 8), `--max-iterations N`
+//! (cap per run, default 2000), `--replicates N` (default 100; `--fast`
+//! caps it at 25), `--seed S`, `--out DIR`, `--threads N`, `--profile
+//! PATH` and `--quiet`. Any other flag exits 2.
 
 use mwu_core::{
     Bandit, DistributedConfig, DistributedMwu, GossipConfig, GossipObservation, MwuAlgorithm,
     SlateConfig, SlateMwu, StandardConfig, StandardMwu, ValueBandit,
 };
-use mwu_experiments::{render_table, write_results_csv, CommonArgs};
+use mwu_experiments::cli::{Args, Flag, FAST, OUT, PROFILE, QUIET, REPLICATES, SEED, THREADS};
+use mwu_experiments::render_table;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use simnet::{FaultConfig, FaultPlan, MessageFate};
+use std::num::NonZeroUsize;
 
 /// One (algorithm, rate, replicate) chaos run.
 struct ChaosRun {
@@ -145,68 +149,33 @@ fn run_gossip(
     }
 }
 
+const RATES: Flag = Flag::of::<String>("--rates", "LIST", "fault rates (default 0,0.05,0.1,0.2)");
+const SIZE: Flag = Flag::of::<NonZeroUsize>("--size", "K", "arms (default 8)");
+const MAX_ITERS: Flag = Flag::of::<usize>("--max-iterations", "N", "cap per run (default 2000)");
+
 fn main() {
-    // Peel chaos-specific flags before the strict common parser.
-    let mut rates: Vec<f64> = vec![0.0, 0.05, 0.1, 0.2];
-    let mut size: usize = 8;
-    let mut max_iterations: usize = 2000;
-    let mut rest: Vec<String> = Vec::new();
-    let mut it = std::env::args().skip(1);
-    let take = |it: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        it.next().unwrap_or_else(|| {
-            eprintln!("{flag} needs a value");
-            std::process::exit(2);
-        })
+    let flags = &[
+        RATES, SIZE, MAX_ITERS, REPLICATES, FAST, SEED, OUT, THREADS, PROFILE, QUIET,
+    ];
+    let args = Args::from_env("chaos", flags);
+    let rates: Vec<f64> = match args.get::<String>(&RATES) {
+        None => vec![0.0, 0.05, 0.1, 0.2],
+        Some(list) => list
+            .split(',')
+            .map(|r| match r.trim().parse() {
+                Ok(rate) if (0.0..=1.0).contains(&rate) => rate,
+                _ => args.fail(format_args!(
+                    "--rates {list:?}: {r:?} is not a rate in [0, 1]"
+                )),
+            })
+            .collect(),
     };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--rates" => {
-                rates = take(&mut it, "--rates")
-                    .split(',')
-                    .map(|s| {
-                        s.trim().parse().unwrap_or_else(|e| {
-                            eprintln!("--rates entry {s:?}: {e}");
-                            std::process::exit(2);
-                        })
-                    })
-                    .collect();
-            }
-            "--size" => {
-                let v = take(&mut it, "--size");
-                size = v.parse().unwrap_or_else(|e| {
-                    eprintln!("--size {v:?}: {e}");
-                    std::process::exit(2);
-                });
-            }
-            "--max-iterations" => {
-                let v = take(&mut it, "--max-iterations");
-                max_iterations = v.parse().unwrap_or_else(|e| {
-                    eprintln!("--max-iterations {v:?}: {e}");
-                    std::process::exit(2);
-                });
-            }
-            other => rest.push(other.to_owned()),
-        }
-    }
-    let args = match CommonArgs::parse(rest) {
-        Ok(a) => {
-            a.apply_parallelism();
-            a.apply_profiling();
-            a
-        }
-        Err(e) => {
-            eprintln!("{e}\nchaos extras: --rates LIST | --size K | --max-iterations N");
-            std::process::exit(2);
-        }
-    };
-    assert!(size > 0, "--size must be positive");
-    assert!(
-        !rates.is_empty() && rates.iter().all(|r| (0.0..=1.0).contains(r)),
-        "--rates must lie in [0, 1]"
-    );
+    let size = args.get(&SIZE).map_or(8, NonZeroUsize::get);
+    let max_iterations = args.get(&MAX_ITERS).unwrap_or(2000);
+    let (seed, replicates) = (args.seed(), args.replicates());
 
     // One fixed unimodal instance per size: cells differ only in faults.
-    let values = mwu_datasets::unimodal::generate(size, args.seed);
+    let values = mwu_datasets::unimodal::generate(size, seed);
     let algorithms = ["standard", "slate", "distributed"];
     let gossip = GossipConfig::default();
 
@@ -214,8 +183,7 @@ fn main() {
     let mut csv: Vec<Vec<String>> = Vec::new();
 
     println!(
-        "chaos sweep: k = {size}, mixed-fault plan, {} replicates, cap {max_iterations}\n",
-        args.replicates
+        "chaos sweep: k = {size}, mixed-fault plan, {replicates} replicates, cap {max_iterations}\n"
     );
 
     for (alg_idx, alg_name) in algorithms.iter().enumerate() {
@@ -223,16 +191,12 @@ fn main() {
         for &rate in &rates {
             let mut iters_sum = 0usize;
             let mut converged = 0usize;
-            for rep in 0..args.replicates {
-                let seed = mwu_core::rng::mix(&[
-                    args.seed,
-                    alg_idx as u64 + 1,
-                    rate.to_bits(),
-                    rep as u64,
-                ]);
+            for rep in 0..replicates {
+                let run_seed =
+                    mwu_core::rng::mix(&[seed, alg_idx as u64 + 1, rate.to_bits(), rep as u64]);
                 let mut bandit = ValueBandit::bernoulli(values.clone());
-                let mut rng = SmallRng::seed_from_u64(seed);
-                let plan = FaultPlan::new(seed ^ 0xC4A05, FaultConfig::mixed(rate));
+                let mut rng = SmallRng::seed_from_u64(run_seed);
+                let plan = FaultPlan::new(run_seed ^ 0xC4A05, FaultConfig::mixed(rate));
                 let run = match *alg_name {
                     "standard" => {
                         let mut alg = StandardMwu::new(size, StandardConfig::default());
@@ -258,7 +222,7 @@ fn main() {
                 iters_sum += run.iterations;
                 converged += run.converged as usize;
             }
-            let mean = iters_sum as f64 / args.replicates as f64;
+            let mean = iters_sum as f64 / replicates as f64;
             let inflation = match baseline {
                 None => {
                     baseline = Some(mean.max(1.0));
@@ -266,23 +230,20 @@ fn main() {
                 }
                 Some(b) => mean / b,
             };
-            if !args.quiet {
-                eprintln!(
-                    "{alg_name} rate {rate}: mean {mean:.1} cycles, {converged}/{} converged",
-                    args.replicates
-                );
-            }
+            args.progress(format_args!(
+                "{alg_name} rate {rate}: mean {mean:.1} cycles, {converged}/{replicates} converged"
+            ));
             rows.push(vec![
                 (*alg_name).into(),
                 format!("{rate}"),
-                format!("{converged}/{}", args.replicates),
+                format!("{converged}/{replicates}"),
                 format!("{mean:.1}"),
                 format!("{inflation:.2}x"),
             ]);
             csv.push(vec![
                 (*alg_name).into(),
                 format!("{rate}"),
-                format!("{}", args.replicates),
+                format!("{replicates}"),
                 format!("{converged}"),
                 format!("{mean:.3}"),
                 format!("{inflation:.4}"),
@@ -297,8 +258,7 @@ fn main() {
             &rows,
         )
     );
-    let path = write_results_csv(
-        &args.out_dir,
+    args.write_csv(
         "chaos.csv",
         &[
             "algorithm",
@@ -309,10 +269,6 @@ fn main() {
             "inflation_vs_faultfree",
         ],
         &csv,
-    )
-    .expect("write chaos.csv");
-    if !args.quiet {
-        eprintln!("wrote {}", path.display());
-    }
+    );
     args.write_profile();
 }

@@ -5,25 +5,27 @@
 //! `Θ(ln n / ln ln n)` with high probability — versus the `n − 1` congestion
 //! of the Standard/Slate global synchronization.
 
-use mwu_experiments::{render_table, write_results_csv, CommonArgs};
+use mwu_experiments::cli::{Args, SWEEP};
+use mwu_experiments::render_table;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use simnet::congestion::{exceedance_rate, expected_max_load, mean_max_load};
 use simnet::Topology;
 
 fn main() {
-    let args = CommonArgs::from_env();
-    let trials = args.replicates;
+    let args = Args::from_env("congestion", SWEEP);
+    let seed = args.seed();
+    let trials = args.replicates();
 
     println!("§II-C — congestion of the heaviest-hit node per round ({trials} trials)\n");
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     for &n in &[64usize, 256, 1024, 4096, 16384, 65536] {
         let theory = expected_max_load(n);
-        let empirical = mean_max_load(n, trials, args.seed);
-        let mut rng = SmallRng::seed_from_u64(args.seed ^ n as u64);
+        let empirical = mean_max_load(n, trials, seed);
+        let mut rng = SmallRng::seed_from_u64(seed ^ n as u64);
         let star = Topology::Star.congestion(n, &mut rng);
-        let exceed = exceedance_rate(n, 3.0 * theory, trials, args.seed ^ 0xE);
+        let exceed = exceedance_rate(n, 3.0 * theory, trials, seed ^ 0xE);
         rows.push(vec![
             n.to_string(),
             format!("{:.2}", theory),
@@ -56,8 +58,7 @@ fn main() {
     println!("within a small constant and is exceeded (by 3x) with vanishing");
     println!("probability, while global synchronization pays n − 1 every round.");
 
-    let path = write_results_csv(
-        &args.out_dir,
+    args.write_csv(
         "congestion.csv",
         &[
             "n",
@@ -67,8 +68,6 @@ fn main() {
             "exceedance_3x",
         ],
         &csv,
-    )
-    .expect("write congestion.csv");
-    eprintln!("wrote {}", path.display());
+    );
     args.write_profile();
 }

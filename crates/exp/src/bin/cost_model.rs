@@ -14,10 +14,11 @@
 //! population), matching the §IV-B parameter settings.
 
 use mwu_core::cost::{CostWeights, Variant, WeightedCostModel};
-use mwu_experiments::{render_table, write_results_csv, CommonArgs};
+use mwu_experiments::cli::{Args, OUT, PROFILE, QUIET, THREADS};
+use mwu_experiments::render_table;
 
 fn main() {
-    let args = CommonArgs::from_env();
+    let args = Args::from_env("cost_model", &[OUT, THREADS, PROFILE, QUIET]);
 
     println!("§IV-E — weighted cost model: cost = α·communication + β·convergence (+ γ·cpus)\n");
 
@@ -108,20 +109,15 @@ fn main() {
     println!("\"the benefit of Distributed on reducing communication cost is not");
     println!("enough to compensate for its higher CPU demand\" (§IV-E.2).");
 
-    let path = write_results_csv(
-        &args.out_dir,
+    args.write_csv(
         "cost_model.csv",
         &["regime", "standard", "distributed", "slate", "recommends"],
         &csv,
-    )
-    .expect("write cost_model.csv");
-    let path2 = write_results_csv(
-        &args.out_dir,
+    );
+    args.write_csv(
         "cost_model_sweep.csv",
         &["beta_over_alpha", "k64", "k1024", "k16384"],
         &sweep_csv,
-    )
-    .expect("write cost_model_sweep.csv");
-    eprintln!("wrote {} and {}", path.display(), path2.display());
+    );
     args.write_profile();
 }

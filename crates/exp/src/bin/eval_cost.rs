@@ -7,14 +7,16 @@
 
 use apr_sim::prioritize::{mean_eval_cost, TestOrder};
 use apr_sim::BugScenario;
-use mwu_experiments::{render_table, write_results_csv, CommonArgs};
+use mwu_experiments::cli::{Args, SWEEP};
+use mwu_experiments::render_table;
 
 fn main() {
-    let args = CommonArgs::from_env();
-    let trials = (args.replicates * 4).clamp(40, 400);
+    let args = Args::from_env("eval_cost", SWEEP);
+    let seed = args.seed();
+    let trials = (args.replicates() * 4).clamp(40, 400);
     let scenario = BugScenario::by_name("gzip-2009-08-16").expect("catalog scenario");
-    eprintln!("precomputing pool for {} ...", scenario.name);
-    let pool = scenario.build_pool(args.seed, None);
+    args.progress(format_args!("precomputing pool for {} ...", scenario.name));
+    let pool = scenario.build_pool(seed, None);
     let full_suite_ms = scenario.suite.full_run_cost_ms();
 
     println!(
@@ -31,7 +33,7 @@ fn main() {
             None,
             x,
             trials,
-            args.seed,
+            seed,
         );
         let suite_order = mean_eval_cost(
             &scenario.world,
@@ -40,7 +42,7 @@ fn main() {
             Some(TestOrder::SuiteOrder),
             x,
             trials,
-            args.seed,
+            seed,
         );
         let cheapest = mean_eval_cost(
             &scenario.world,
@@ -49,7 +51,7 @@ fn main() {
             Some(TestOrder::CheapestFirst),
             x,
             trials,
-            args.seed,
+            seed,
         );
         let survival = scenario.world.interaction.expected_survival(x);
         rows.push(vec![
@@ -87,8 +89,7 @@ fn main() {
     println!("interaction scale most probes break and the cheapest-first order");
     println!("finds the failure after a few cheap tests.");
 
-    let path = write_results_csv(
-        &args.out_dir,
+    args.write_csv(
         "eval_cost.csv",
         &[
             "x",
@@ -98,8 +99,6 @@ fn main() {
             "early_cheapest_ms",
         ],
         &csv,
-    )
-    .expect("write eval_cost.csv");
-    eprintln!("wrote {}", path.display());
+    );
     args.write_profile();
 }

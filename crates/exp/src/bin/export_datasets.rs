@@ -3,12 +3,13 @@
 //! or replotted without rerunning any generator.
 
 use mwu_datasets::{full_catalog, io};
-use mwu_experiments::{render_table, write_results_csv, CommonArgs};
+use mwu_experiments::cli::{Args, ONLY, OUT, PROFILE, QUIET, THREADS};
+use mwu_experiments::render_table;
 use std::fs;
 
 fn main() {
-    let args = CommonArgs::from_env();
-    let dir = args.out_dir.join("datasets");
+    let args = Args::from_env("export_datasets", &[ONLY, OUT, THREADS, PROFILE, QUIET]);
+    let dir = args.out_dir().join("datasets");
     fs::create_dir_all(&dir).expect("create datasets dir");
 
     let mut rows = Vec::new();
@@ -52,8 +53,7 @@ fn main() {
             &rows
         )
     );
-    let path = write_results_csv(
-        &args.out_dir,
+    args.write_csv(
         "datasets_summary.csv",
         &[
             "dataset",
@@ -64,8 +64,6 @@ fn main() {
             "mean_value",
         ],
         &summary,
-    )
-    .expect("write summary");
-    eprintln!("wrote {}", path.display());
+    );
     args.write_profile();
 }

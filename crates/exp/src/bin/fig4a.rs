@@ -13,20 +13,27 @@
 
 use apr_sim::fig4::{survival_curve, untested_survival_curve};
 use apr_sim::BugScenario;
-use mwu_experiments::{render_table, write_results_csv, CommonArgs};
+use mwu_experiments::cli::{Args, SWEEP};
+use mwu_experiments::render_table;
 
 fn main() {
-    let args = CommonArgs::from_env();
-    let trials = args.replicates * 10;
+    let args = Args::from_env("fig4a", SWEEP);
+    let seed = args.seed();
+    let trials = args.replicates() * 10;
     let scenario = BugScenario::by_name("gzip-2009-08-16").expect("catalog scenario");
-    eprintln!("precomputing safe-mutation pool for {} ...", scenario.name);
-    let pool = scenario.build_pool(args.seed, None);
+    let name = &scenario.name;
+    args.progress(format_args!(
+        "precomputing safe-mutation pool for {name} ..."
+    ));
+    let pool = scenario.build_pool(seed, None);
 
     let xs: Vec<usize> = (1..=9).chain((10..=100).step_by(5)).collect();
-    eprintln!("estimating survival curves ({} trials/point)...", trials);
-    let safe = survival_curve(&scenario, &pool, &xs, trials, args.seed);
+    args.progress(format_args!(
+        "estimating survival curves ({trials} trials/point)..."
+    ));
+    let safe = survival_curve(&scenario, &pool, &xs, trials, seed);
     let raw_xs: Vec<usize> = (1..=10).collect();
-    let raw = untested_survival_curve(&scenario, &raw_xs, trials, args.seed);
+    let raw = untested_survival_curve(&scenario, &raw_xs, trials, seed);
 
     println!(
         "Fig. 4a — fraction passing vs. #mutations ({} trials/point)\n",
@@ -85,13 +92,6 @@ fn main() {
             format!("{:.6}", p.value),
         ]);
     }
-    let path = write_results_csv(
-        &args.out_dir,
-        "fig4a.csv",
-        &["series", "x", "fraction_passing"],
-        &csv,
-    )
-    .expect("write fig4a.csv");
-    eprintln!("wrote {}", path.display());
+    args.write_csv("fig4a.csv", &["series", "x", "fraction_passing"], &csv);
     args.write_profile();
 }

@@ -4,18 +4,25 @@
 
 use apr_sim::fig4::{curve_peak, repair_density_curve};
 use apr_sim::BugScenario;
-use mwu_experiments::{render_table, write_results_csv, CommonArgs};
+use mwu_experiments::cli::{Args, SWEEP};
+use mwu_experiments::render_table;
 
 fn main() {
-    let args = CommonArgs::from_env();
-    let trials = args.replicates * 10;
+    let args = Args::from_env("fig4b", SWEEP);
+    let seed = args.seed();
+    let trials = args.replicates() * 10;
     let scenario = BugScenario::by_name("gzip-2009-08-16").expect("catalog scenario");
-    eprintln!("precomputing safe-mutation pool for {} ...", scenario.name);
-    let pool = scenario.build_pool(args.seed, None);
+    let name = &scenario.name;
+    args.progress(format_args!(
+        "precomputing safe-mutation pool for {name} ..."
+    ));
+    let pool = scenario.build_pool(seed, None);
 
     let xs: Vec<usize> = (1..=120).step_by(3).collect();
-    eprintln!("estimating repair density ({} trials/point)...", trials);
-    let curve = repair_density_curve(&scenario, &pool, &xs, trials, args.seed);
+    args.progress(format_args!(
+        "estimating repair density ({trials} trials/point)..."
+    ));
+    let curve = repair_density_curve(&scenario, &pool, &xs, trials, seed);
 
     println!(
         "Fig. 4b — repair density vs. #combined mutations ({} trials/point)\n",
@@ -41,8 +48,6 @@ fn main() {
         .iter()
         .map(|p| vec![p.x.to_string(), format!("{:.6}", p.value)])
         .collect();
-    let path = write_results_csv(&args.out_dir, "fig4b.csv", &["x", "repair_density"], &csv)
-        .expect("write fig4b.csv");
-    eprintln!("wrote {}", path.display());
+    args.write_csv("fig4b.csv", &["x", "repair_density"], &csv);
     args.write_profile();
 }

@@ -15,13 +15,14 @@
 //! (the only wall-clock-bearing output) is printed to stdout as JSON.
 //!
 //! Flags: `--work DIR` (required), `--jobs FILE|-`, `--slice N` (update
-//! cycles per session per round, default 16), `--halt-after N` (stop after
-//! N rounds, leaving unfinished sessions checkpointed), `--threads N`,
-//! `--trace-segment-bytes N` (rotate each session's trace into size-capped
-//! `trace.NNN.jsonl` segments; concatenation stays byte-identical to the
-//! single-file layout — see `docs/SERVICE.md`), `--profile` (enable the
-//! phase profiler; the span report lands in `<work>/metrics.json`),
-//! `--quiet`.
+//! cycles per session per round, default 16), `--halt-after ROUNDS` (stop
+//! after that many rounds, leaving unfinished sessions checkpointed),
+//! `--threads N`, `--trace-segment-bytes N` (rotate each session's trace
+//! into size-capped `trace.NNN.jsonl` segments; concatenation stays
+//! byte-identical to the single-file layout — see `docs/SERVICE.md`),
+//! `--profile` (a switch: enable the phase profiler; the span report
+//! lands in `<work>/metrics.json`), `--quiet`, and the three fault flags
+//! below. Any other flag, or a value that does not parse, exits 2.
 //! Exit codes: 2 usage, 1 protocol/session/I-O failure.
 //!
 //! Storage-fault injection (docs/FAULTS.md §5): `--fault-rate R` mounts the
@@ -32,130 +33,94 @@
 //! reports `sessions_quarantined` in the summary.
 
 use mwrepair_service::{Daemon, DaemonConfig, FaultVfs, StorageFaultConfig, StorageFaultPlan};
+use mwu_experiments::cli::{Args, Flag, QUIET, THREADS};
 use std::io::Read;
+use std::num::NonZeroU64;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-fn usage(msg: &str) -> ! {
-    eprintln!(
-        "{msg}\nusage: mwrepaird --work DIR [--jobs FILE|-] [--slice N] [--halt-after ROUNDS] \
-         [--threads N] [--trace-segment-bytes N] [--profile] [--quiet] \
-         [--fault-rate R] [--fault-class eio|mixed|torn|lies] [--fault-seed N]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_num<T: std::str::FromStr>(flag: &str, v: &str) -> T {
-    v.parse()
-        .unwrap_or_else(|_| usage(&format!("{flag} {v:?}: not a valid number")))
-}
+const WORK: Flag = Flag::of::<PathBuf>("--work", "DIR", "work directory (required)");
+const JOBS: Flag = Flag::of::<String>("--jobs", "FILE|-", "JSONL jobs to submit (- is stdin)");
+const SLICE: Flag = Flag::of::<usize>("--slice", "N", "cycles per session per round (default 16)");
+const HALT_AFTER: Flag = Flag::of::<u64>("--halt-after", "ROUNDS", "stop after ROUNDS rounds");
+const SEGMENTS: Flag = Flag::of::<NonZeroU64>(
+    "--trace-segment-bytes",
+    "N",
+    "rotate session traces into N-byte segments",
+);
+const PROFILE: Flag = Flag::switch("--profile", "write the phase profile into metrics.json");
+const FAULT_RATE: Flag = Flag::of::<f64>(
+    "--fault-rate",
+    "R",
+    "inject storage faults at rate R in [0, 1]",
+);
+const CLASS: Flag = Flag::of::<String>(
+    "--fault-class",
+    "CLASS",
+    "eio | mixed | torn | lies (default mixed)",
+);
+const FAULT_SEED: Flag = Flag::of::<u64>("--fault-seed", "N", "fault-schedule seed (default 0)");
 
 fn main() {
-    let mut work: Option<PathBuf> = None;
-    let mut jobs: Option<String> = None;
-    let mut slice: usize = 16;
-    let mut halt_after: Option<u64> = None;
-    let mut threads: Option<usize> = None;
-    let mut quiet = false;
-    let mut trace_segment_bytes: Option<u64> = None;
-    let mut profile = false;
-    let mut fault_rate: f64 = 0.0;
-    let mut fault_class = String::from("mixed");
-    let mut fault_seed: u64 = 0;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut take = |flag: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
+    let args = Args::from_env(
+        "mwrepaird",
+        &[
+            WORK, JOBS, SLICE, HALT_AFTER, THREADS, SEGMENTS, PROFILE, QUIET, FAULT_RATE, CLASS,
+            FAULT_SEED,
+        ],
+    );
+    let work = args
+        .get::<PathBuf>(&WORK)
+        .unwrap_or_else(|| args.fail("--work DIR is required"));
+    let fault_rate = args.get(&FAULT_RATE).unwrap_or(0.0);
+    if !(0.0..=1.0).contains(&fault_rate) {
+        args.fail(format_args!("--fault-rate {fault_rate}: must be in [0, 1]"));
+    }
+    let class = args.get(&CLASS).unwrap_or_else(|| String::from("mixed"));
+    let faults = StorageFaultConfig::named(&class, fault_rate)
+        .unwrap_or_else(|| args.fail("--fault-class must be eio | mixed | torn | lies"));
+    // Read the batch before the work directory is touched, so an
+    // unreadable --jobs exits 2 having written nothing.
+    let jobs = args.get::<String>(&JOBS).map(|src| {
+        let read = if src == "-" {
+            let mut buf = Vec::new();
+            std::io::stdin().read_to_end(&mut buf).map(|_| buf)
+        } else {
+            std::fs::read(&src)
         };
-        match arg.as_str() {
-            "--work" => work = Some(PathBuf::from(take("--work"))),
-            "--jobs" => jobs = Some(take("--jobs")),
-            "--slice" => slice = parse_num("--slice", &take("--slice")),
-            "--halt-after" => halt_after = Some(parse_num("--halt-after", &take("--halt-after"))),
-            "--threads" => threads = Some(parse_num("--threads", &take("--threads"))),
-            "--trace-segment-bytes" => {
-                trace_segment_bytes = Some(parse_num(
-                    "--trace-segment-bytes",
-                    &take("--trace-segment-bytes"),
-                ))
-            }
-            "--profile" => profile = true,
-            "--quiet" => quiet = true,
-            "--fault-rate" => fault_rate = parse_num("--fault-rate", &take("--fault-rate")),
-            "--fault-class" => fault_class = take("--fault-class"),
-            "--fault-seed" => fault_seed = parse_num("--fault-seed", &take("--fault-seed")),
-            other => usage(&format!("unknown flag {other:?}")),
-        }
-    }
-    let work = work.unwrap_or_else(|| usage("--work DIR is required"));
-    if let Some(n) = threads {
-        rayon::set_num_threads(n.max(1));
-    }
-
-    if profile {
+        read.unwrap_or_else(|e| args.fail(format_args!("reading {src:?}: {e}")))
+    });
+    if args.given(&PROFILE) {
         mwu_core::prof::set_enabled(true);
     }
 
     let mut config = DaemonConfig::new(work);
-    config.slice_iterations = slice.max(1);
-    config.halt_after_rounds = halt_after;
-    config.quiet = quiet;
-    if let Some(cap) = trace_segment_bytes {
-        if cap == 0 {
-            usage("--trace-segment-bytes must be positive");
-        }
-        config.trace_segment_bytes = Some(cap);
-    }
-    if !(0.0..=1.0).contains(&fault_rate) {
-        usage(&format!("--fault-rate {fault_rate}: must be in [0, 1]"));
-    }
+    config.slice_iterations = args.get(&SLICE).unwrap_or(16).max(1);
+    config.halt_after_rounds = args.get(&HALT_AFTER);
+    config.quiet = args.given(&QUIET);
+    config.trace_segment_bytes = args.get(&SEGMENTS).map(NonZeroU64::get);
     if fault_rate > 0.0 {
-        let faults = match fault_class.as_str() {
-            "eio" => StorageFaultConfig::eio(fault_rate),
-            "mixed" => StorageFaultConfig::mixed(fault_rate),
-            "torn" => StorageFaultConfig::torn(fault_rate),
-            "lies" => StorageFaultConfig::lies(fault_rate),
-            other => usage(&format!(
-                "--fault-class must be eio | mixed | torn | lies (got {other:?})"
-            )),
-        };
+        let seed = args.get(&FAULT_SEED).unwrap_or(0);
         // Rooted at the work directory: the same seed draws the same
         // fault schedule no matter where --work points.
         config.vfs = Arc::new(FaultVfs::rooted(
-            StorageFaultPlan::new(fault_seed, faults),
+            StorageFaultPlan::new(seed, faults),
             &config.workdir,
         ));
-        if !quiet {
-            eprintln!(
-                "mwrepaird: injecting {fault_class} storage faults at rate {fault_rate} \
-                 (seed {fault_seed})"
-            );
-        }
+        args.progress(format_args!(
+            "mwrepaird: injecting {class} storage faults at rate {fault_rate} (seed {seed})"
+        ));
     }
     let mut daemon = Daemon::open(config).unwrap_or_else(|e| {
         eprintln!("mwrepaird: {e}");
         std::process::exit(1);
     });
-    if let Some(src) = jobs {
-        let bytes = if src == "-" {
-            let mut buf = Vec::new();
-            std::io::stdin()
-                .read_to_end(&mut buf)
-                .unwrap_or_else(|e| usage(&format!("reading stdin: {e}")));
-            buf
-        } else {
-            std::fs::read(&src).unwrap_or_else(|e| usage(&format!("reading {src:?}: {e}")))
-        };
+    if let Some(bytes) = jobs {
         match daemon.submit_bytes(&bytes) {
-            Ok(n) => {
-                if !quiet {
-                    eprintln!(
-                        "mwrepaird: accepted {n} new jobs ({} total)",
-                        daemon.sessions().len()
-                    );
-                }
-            }
+            Ok(n) => args.progress(format_args!(
+                "mwrepaird: accepted {n} new jobs ({} total)",
+                daemon.sessions().len()
+            )),
             Err(e) => {
                 eprintln!("mwrepaird: {e}");
                 std::process::exit(1);
@@ -164,12 +129,12 @@ fn main() {
     }
     match daemon.run() {
         Ok(summary) => {
-            if !quiet && summary.sessions_quarantined > 0 {
-                eprintln!(
+            if summary.sessions_quarantined > 0 {
+                args.progress(format_args!(
                     "mwrepaird: {} session(s) quarantined; inspect quarantine.json and re-run \
                      to re-arm",
                     summary.sessions_quarantined
-                );
+                ));
             }
             println!("{}", summary.to_json());
         }

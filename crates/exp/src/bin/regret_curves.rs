@@ -11,10 +11,11 @@ use mwu_core::prelude::*;
 use mwu_core::regret::{run_with_regret, RegretCurve};
 use mwu_core::run::RunConfig;
 use mwu_datasets::catalog;
-use mwu_experiments::{render_table, write_results_csv, CommonArgs};
+use mwu_experiments::cli::{Args, OUT, PROFILE, QUIET, SEED, THREADS};
+use mwu_experiments::render_table;
 
 fn main() {
-    let args = CommonArgs::from_env();
+    let args = Args::from_env("regret_curves", &[SEED, OUT, THREADS, PROFILE, QUIET]);
     let horizon = 2_000usize;
     let checkpoints = [1usize, 10, 50, 200, 1000, 1999];
     let datasets = [
@@ -37,7 +38,7 @@ fn main() {
         ] {
             let cfg = RunConfig {
                 max_iterations: horizon,
-                seed: mwu_core::rng::mix(&[args.seed, k as u64]),
+                seed: mwu_core::rng::mix(&[args.seed(), k as u64]),
                 run_past_convergence: true,
             };
             let mut bandit = d.bandit();
@@ -107,13 +108,10 @@ fn main() {
     println!("floor reflects its μ exploration, and the sequential strategies'");
     println!("curves cost one probe per cycle rather than a parallel batch.");
 
-    let path = write_results_csv(
-        &args.out_dir,
+    args.write_csv(
         "regret_curves.csv",
         &["dataset", "algorithm", "cycle", "policy_regret"],
         &csv,
-    )
-    .expect("write regret_curves.csv");
-    eprintln!("wrote {}", path.display());
+    );
     args.write_profile();
 }

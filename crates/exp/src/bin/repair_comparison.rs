@@ -12,7 +12,8 @@
 use apr_baselines::{AdaptiveSearch, GenProg, GenProgConfig, RandomSearch, SearchBudget};
 use apr_sim::{BugScenario, CostLedger};
 use mwrepair::{minimize_patch, repair_with_variant, MwRepairConfig, VariantChoice};
-use mwu_experiments::{render_table, write_results_csv, CommonArgs};
+use mwu_experiments::cli::{Args, SWEEP};
+use mwu_experiments::render_table;
 
 struct AlgRow {
     name: &'static str,
@@ -23,14 +24,14 @@ struct AlgRow {
 }
 
 fn main() {
-    let args = CommonArgs::from_env();
+    let args = Args::from_env("repair_comparison", SWEEP);
     // Fitness-evaluation budget per scenario. GenProg-scale budgets are a
     // few thousand evaluations; 10,000 gives the single-edit baselines a
     // generous shot while still separating the hard scenarios (whose
     // expected single-edit cost exceeds it).
     let budget_evals: u64 = 10_000;
     let scenarios = BugScenario::catalog_all();
-    let reps = args.replicates.clamp(1, 10) as u64; // end-to-end runs are heavy
+    let reps = args.replicates().clamp(1, 10) as u64; // end-to-end runs are heavy
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut csv: Vec<Vec<String>> = Vec::new();
@@ -49,19 +50,19 @@ fn main() {
         .collect();
 
     for (sidx, s) in scenarios.iter().enumerate() {
-        eprintln!("scenario {} (k = {})...", s.name, s.options);
+        args.progress(format_args!("scenario {} (k = {})...", s.name, s.options));
         // The precompute phase is a one-time, per-program cost amortized
         // over every bug repaired in that program (§III-C); it is built
         // once per scenario here and reported separately from the online
         // search, matching the paper's accounting ("including the overhead
         // of the online learning process").
         let precompute_ledger = CostLedger::new();
-        let pool = s.build_pool(args.seed, Some(&precompute_ledger));
+        let pool = s.build_pool(args.seed(), Some(&precompute_ledger));
         precompute_evals_sum += precompute_ledger.fitness_evals();
         precompute_latency_sum += precompute_ledger.critical_path_ms();
 
         for rep in 0..reps {
-            let seed = mwu_core::rng::mix(&[args.seed, rep, sidx as u64]);
+            let seed = mwu_core::rng::mix(&[args.seed(), rep, sidx as u64]);
 
             // MWRepair (Standard variant — the paper's finding: "the
             // algorithm that uses global memory and has high communication
@@ -236,8 +237,7 @@ fn main() {
         );
     }
 
-    let path = write_results_csv(
-        &args.out_dir,
+    args.write_csv(
         "repair_comparison.csv",
         &[
             "scenario",
@@ -248,9 +248,7 @@ fn main() {
             "latency_ms",
         ],
         &csv,
-    )
-    .expect("write repair_comparison.csv");
-    eprintln!("wrote {}", path.display());
+    );
     args.write_profile();
 }
 

@@ -9,10 +9,12 @@
 //! accuracy.
 
 use mwu_core::prelude::*;
+use mwu_core::rng::mix;
 use mwu_core::stats::RunningStats;
 use mwu_core::LearningRate;
-use mwu_datasets::catalog;
-use mwu_experiments::{render_table, write_results_csv, CommonArgs};
+use mwu_datasets::{catalog, Dataset};
+use mwu_experiments::cli::{Args, SWEEP};
+use mwu_experiments::render_table;
 
 struct SweepPoint {
     variant: &'static str,
@@ -24,9 +26,37 @@ struct SweepPoint {
     converged_frac: f64,
 }
 
+/// Run `reps` replicates of the algorithm `make` builds on `d`, replicate
+/// `r` seeded with `seed(r)`, and average them into one sweep point.
+fn sweep_point<A: MwuAlgorithm>(
+    (variant, parameter, value): (&'static str, &'static str, f64),
+    d: &Dataset,
+    reps: usize,
+    seed: impl Fn(u64) -> u64,
+    make: impl Fn() -> A,
+) -> SweepPoint {
+    let (mut iters, mut acc, mut conv) = (RunningStats::new(), RunningStats::new(), 0usize);
+    for rep in 0..reps {
+        let config = RunConfig::seeded(seed(rep as u64));
+        let out = run_to_convergence(&mut make(), &mut d.bandit(), &config);
+        iters.push(out.iterations as f64);
+        acc.push(out.accuracy(&d.values));
+        conv += out.converged as usize;
+    }
+    SweepPoint {
+        variant,
+        parameter,
+        value,
+        dataset: d.name.clone(),
+        iterations: iters.mean(),
+        accuracy: acc.mean(),
+        converged_frac: conv as f64 / reps as f64,
+    }
+}
+
 fn main() {
-    let args = CommonArgs::from_env();
-    let reps = args.replicates.clamp(3, 20);
+    let args = Args::from_env("sweep_params", SWEEP);
+    let (reps, seed) = (args.replicates().clamp(3, 20), args.seed());
     let datasets = [
         catalog::by_name("random256").unwrap(),
         catalog::by_name("unimodal256").unwrap(),
@@ -35,108 +65,47 @@ fn main() {
 
     for d in &datasets {
         let k = d.size();
-
         // Standard: learning rate η.
         for &eta in &[0.05, 0.1, 0.25, 0.5] {
-            let mut iters = RunningStats::new();
-            let mut acc = RunningStats::new();
-            let mut conv = 0usize;
-            for rep in 0..reps {
-                let mut alg = StandardMwu::new(
-                    k,
-                    StandardConfig {
-                        eta: LearningRate::Constant(eta),
-                        ..StandardConfig::default()
-                    },
-                );
-                let mut bandit = d.bandit();
-                let out = run_to_convergence(
-                    &mut alg,
-                    &mut bandit,
-                    &RunConfig::seeded(mwu_core::rng::mix(&[args.seed, rep as u64])),
-                );
-                iters.push(out.iterations as f64);
-                acc.push(out.accuracy(&d.values));
-                conv += out.converged as usize;
-            }
-            points.push(SweepPoint {
-                variant: "standard",
-                parameter: "eta",
-                value: eta,
-                dataset: d.name.clone(),
-                iterations: iters.mean(),
-                accuracy: acc.mean(),
-                converged_frac: conv as f64 / reps as f64,
-            });
+            let config = StandardConfig {
+                eta: LearningRate::Constant(eta),
+                ..StandardConfig::default()
+            };
+            let make = || StandardMwu::new(k, config);
+            let stream = |rep| mix(&[seed, rep]);
+            points.push(sweep_point(("standard", "eta", eta), d, reps, stream, make));
         }
-
         // Slate: exploration rate γ (which also sets the slate size).
         for &gamma in &[0.02, 0.05, 0.1, 0.2] {
-            let mut iters = RunningStats::new();
-            let mut acc = RunningStats::new();
-            let mut conv = 0usize;
-            for rep in 0..reps {
-                let mut alg = SlateMwu::new(
-                    k,
-                    SlateConfig {
-                        gamma,
-                        ..SlateConfig::default()
-                    },
-                );
-                let mut bandit = d.bandit();
-                let out = run_to_convergence(
-                    &mut alg,
-                    &mut bandit,
-                    &RunConfig::seeded(mwu_core::rng::mix(&[args.seed, 7, rep as u64])),
-                );
-                iters.push(out.iterations as f64);
-                acc.push(out.accuracy(&d.values));
-                conv += out.converged as usize;
-            }
-            points.push(SweepPoint {
-                variant: "slate",
-                parameter: "gamma",
-                value: gamma,
-                dataset: d.name.clone(),
-                iterations: iters.mean(),
-                accuracy: acc.mean(),
-                converged_frac: conv as f64 / reps as f64,
-            });
+            let config = SlateConfig {
+                gamma,
+                ..SlateConfig::default()
+            };
+            let make = || SlateMwu::new(k, config);
+            let stream = |rep| mix(&[seed, 7, rep]);
+            points.push(sweep_point(
+                ("slate", "gamma", gamma),
+                d,
+                reps,
+                stream,
+                make,
+            ));
         }
-
         // Distributed: adoption contrast β (with μ fixed).
         for &beta in &[0.6, 0.75, 0.9, 0.98] {
-            let mut iters = RunningStats::new();
-            let mut acc = RunningStats::new();
-            let mut conv = 0usize;
-            for rep in 0..reps {
-                let mut alg = DistributedMwu::try_new(
-                    k,
-                    DistributedConfig {
-                        beta,
-                        ..DistributedConfig::default()
-                    },
-                )
-                .expect("k=256 tractable");
-                let mut bandit = d.bandit();
-                let out = run_to_convergence(
-                    &mut alg,
-                    &mut bandit,
-                    &RunConfig::seeded(mwu_core::rng::mix(&[args.seed, 13, rep as u64])),
-                );
-                iters.push(out.iterations as f64);
-                acc.push(out.accuracy(&d.values));
-                conv += out.converged as usize;
-            }
-            points.push(SweepPoint {
-                variant: "distributed",
-                parameter: "beta",
-                value: beta,
-                dataset: d.name.clone(),
-                iterations: iters.mean(),
-                accuracy: acc.mean(),
-                converged_frac: conv as f64 / reps as f64,
-            });
+            let config = DistributedConfig {
+                beta,
+                ..DistributedConfig::default()
+            };
+            let make = || DistributedMwu::try_new(k, config).expect("k=256 tractable");
+            let stream = |rep| mix(&[seed, 13, rep]);
+            points.push(sweep_point(
+                ("distributed", "beta", beta),
+                d,
+                reps,
+                stream,
+                make,
+            ));
         }
     }
 
@@ -178,8 +147,7 @@ fn main() {
     println!("β sharpens adoption and speeds population consensus.");
 
     let csv: Vec<Vec<String>> = rows;
-    let path = write_results_csv(
-        &args.out_dir,
+    args.write_csv(
         "sweep_params.csv",
         &[
             "variant",
@@ -191,8 +159,6 @@ fn main() {
             "converged_frac",
         ],
         &csv,
-    )
-    .expect("write sweep_params.csv");
-    eprintln!("wrote {}", path.display());
+    );
     args.write_profile();
 }

@@ -12,11 +12,12 @@
 //!    the efficiency of threads requiring no synchronization blocks."
 
 use mwu_core::cost::prob_worst_case_hit;
-use mwu_experiments::{render_table, write_results_csv, CommonArgs};
+use mwu_experiments::cli::{Args, OUT, PROFILE, QUIET, THREADS};
+use mwu_experiments::render_table;
 use simnet::{SyncMode, ThreadPool};
 
 fn main() {
-    let args = CommonArgs::from_env();
+    let args = Args::from_env("sync_stall", &[OUT, THREADS, PROFILE, QUIET]);
 
     println!("§III-C part 1 — probability a synchronized round hits the worst decile\n");
     let mut rows = Vec::new();
@@ -86,15 +87,6 @@ visible but the free-running efficiency is depressed by time-slicing."
         );
     }
 
-    let path = write_results_csv(
-        &args.out_dir,
-        "sync_stall.csv",
-        &["threads", "p_worst_decile"],
-        &csv,
-    )
-    .expect("write sync_stall.csv");
-    if !args.quiet {
-        eprintln!("wrote {}", path.display());
-    }
+    args.write_csv("sync_stall.csv", &["threads", "p_worst_decile"], &csv);
     args.write_profile();
 }

@@ -5,10 +5,11 @@
 //! range of (k, n) to make the scaling visible.
 
 use mwu_core::cost::{asymptotic_costs, CostParams, Variant};
-use mwu_experiments::{render_table, write_results_csv, CommonArgs};
+use mwu_experiments::cli::{Args, OUT, PROFILE, QUIET, THREADS};
+use mwu_experiments::render_table;
 
 fn main() {
-    let args = CommonArgs::from_env();
+    let args = Args::from_env("table1", &[OUT, THREADS, PROFILE, QUIET]);
 
     println!("Table I — asymptotic properties (symbolic)\n");
     let sym = vec![
@@ -93,8 +94,7 @@ fn main() {
         )
     );
 
-    let path = write_results_csv(
-        &args.out_dir,
+    args.write_csv(
         "table1.csv",
         &[
             "k",
@@ -106,8 +106,6 @@ fn main() {
             "min_agents",
         ],
         &csv_rows,
-    )
-    .expect("write table1.csv");
-    eprintln!("wrote {}", path.display());
+    );
     args.write_profile();
 }

@@ -9,9 +9,10 @@
 
 use mwu_core::Variant;
 use mwu_datasets::full_catalog;
-use mwu_experiments::{
-    render_table, run_grid_observed, write_results_csv, CellResult, CommonArgs, GridConfig,
+use mwu_experiments::cli::{
+    Args, FAST, ONLY, OUT, PROFILE, QUIET, REPLICATES, SEED, THREADS, TRACE,
 };
+use mwu_experiments::{render_table, run_grid_observed, CellResult, GridConfig};
 
 fn cell<'a>(cells: &'a [CellResult], dataset: &str, alg: Variant) -> &'a CellResult {
     cells
@@ -21,23 +22,26 @@ fn cell<'a>(cells: &'a [CellResult], dataset: &str, alg: Variant) -> &'a CellRes
 }
 
 fn main() {
-    let args = CommonArgs::from_env();
+    let args = Args::from_env(
+        "tables234",
+        &[
+            REPLICATES, FAST, SEED, ONLY, TRACE, OUT, THREADS, PROFILE, QUIET,
+        ],
+    );
     let datasets: Vec<_> = full_catalog()
         .into_iter()
         .filter(|d| args.selects(&d.name))
         .collect();
     let config = GridConfig {
-        replicates: args.replicates,
+        replicates: args.replicates(),
         max_iterations: 10_000,
-        seed: args.seed,
+        seed: args.seed(),
     };
-    if !args.quiet {
-        eprintln!(
-            "grid: {} datasets x 3 algorithms x {} replicates (single pass)",
-            datasets.len(),
-            config.replicates
-        );
-    }
+    args.progress(format_args!(
+        "grid: {} datasets x 3 algorithms x {} replicates (single pass)",
+        datasets.len(),
+        config.replicates
+    ));
     let mut observer = args.observer();
     let cells = run_grid_observed(&datasets, &config, &mut observer);
     if let Some(sink) = observer.0.as_mut() {
@@ -208,10 +212,7 @@ fn main() {
             csv4,
         ),
     ] {
-        let path = write_results_csv(&args.out_dir, name, &header, &rows).expect("write csv");
-        if !args.quiet {
-            eprintln!("wrote {}", path.display());
-        }
+        args.write_csv(name, &header, &rows);
     }
     args.write_profile();
 }

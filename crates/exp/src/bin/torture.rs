@@ -16,9 +16,13 @@
 //!    graceful `Err` returns.
 //!
 //! The certificate is written as JSON (schema `torture/v1`) to the path
-//! given by `--out` (default `TORTURE.json`) and the process exits
+//! given by `--out FILE` (default `TORTURE.json`) and the process exits
 //! non-zero if any guarantee is violated. `--fast` runs the reduced CI
-//! sweep (see `.github/workflows/ci.yml`, job `torture-smoke`).
+//! sweep (see `.github/workflows/ci.yml`, job `torture-smoke`), and
+//! `--work DIR` holds the cells' work directories (default a fresh one
+//! under the temp dir). These three are its only flags; any other exits 2.
+//! It always narrates on stderr: the per-cell lines are the certificate's
+//! summary.
 //!
 //! The adversary is mounted *rooted* at each cell's work directory, so
 //! the fault schedule is keyed by work-directory-relative paths — the
@@ -29,6 +33,7 @@ use mwrepair_service::{
     encode_line, Daemon, DaemonConfig, FaultVfs, JobLine, JobSpec, ScenarioSpec,
     StorageFaultConfig, StorageFaultPlan,
 };
+use mwu_experiments::cli::{Args, Flag};
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -54,6 +59,16 @@ fn scenario() -> ScenarioSpec {
     }
 }
 
+/// The six jobs' (id, tenant) pairs: two per tenant.
+const JOBS: [(&str, &str); 6] = [
+    ("tj-0", "acme"),
+    ("tj-1", "acme"),
+    ("tj-2", "globex"),
+    ("tj-3", "globex"),
+    ("tj-4", "initech"),
+    ("tj-5", "initech"),
+];
+
 /// Six budget-free jobs across three tenants. Budget-free is deliberate:
 /// a quarantined session perturbs *when* its tenant's budget trips for
 /// siblings, so byte-identity certification must not involve budgets
@@ -61,17 +76,7 @@ fn scenario() -> ScenarioSpec {
 /// `tests/tests/service_faults.rs`).
 fn batch() -> Vec<u8> {
     let mut doc = String::new();
-    for (i, (id, tenant)) in [
-        ("tj-0", "acme"),
-        ("tj-1", "acme"),
-        ("tj-2", "globex"),
-        ("tj-3", "globex"),
-        ("tj-4", "initech"),
-        ("tj-5", "initech"),
-    ]
-    .iter()
-    .enumerate()
-    {
+    for (i, (id, tenant)) in JOBS.iter().enumerate() {
         let job = JobSpec {
             id: (*id).into(),
             tenant: (*tenant).into(),
@@ -90,14 +95,7 @@ type SessionBytes = BTreeMap<(String, String), (Vec<u8>, Vec<u8>)>;
 
 fn collect_bytes(workdir: &Path) -> Result<SessionBytes, String> {
     let mut out = BTreeMap::new();
-    for (id, tenant) in [
-        ("tj-0", "acme"),
-        ("tj-1", "acme"),
-        ("tj-2", "globex"),
-        ("tj-3", "globex"),
-        ("tj-4", "initech"),
-        ("tj-5", "initech"),
-    ] {
+    for (id, tenant) in JOBS {
         let dir = workdir.join("tenants").join(tenant).join(id);
         let trace = std::fs::read(dir.join("trace.jsonl"))
             .map_err(|e| format!("{tenant}/{id}/trace.jsonl: {e}"))?;
@@ -111,16 +109,6 @@ fn collect_bytes(workdir: &Path) -> Result<SessionBytes, String> {
         out.insert((tenant.to_string(), id.to_string()), (trace, report));
     }
     Ok(out)
-}
-
-fn fault_config(class: &str, rate: f64) -> StorageFaultConfig {
-    match class {
-        "eio" => StorageFaultConfig::eio(rate),
-        "mixed" => StorageFaultConfig::mixed(rate),
-        "torn" => StorageFaultConfig::torn(rate),
-        "lies" => StorageFaultConfig::lies(rate),
-        other => panic!("unknown fault class {other:?}"),
-    }
 }
 
 #[derive(Debug, Default, Serialize)]
@@ -216,7 +204,7 @@ fn run_cell(
         // prevents a deterministic re-quarantine livelock.
         let plan = StorageFaultPlan::new(
             cell_seed ^ generation.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            fault_config(class, rate),
+            StorageFaultConfig::named(class, rate).expect("a known fault class"),
         );
         // Early generations halt after a couple of rounds (cooperative
         // kill mid-run); later ones run until quarantine-or-done.
@@ -275,24 +263,29 @@ fn run_cell(
     cell
 }
 
-fn main() {
-    let mut fast = false;
-    let mut out = PathBuf::from("TORTURE.json");
-    let mut root: Option<PathBuf> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--fast" => fast = true,
-            "--out" => out = PathBuf::from(it.next().unwrap_or_else(|| usage())),
-            "--work" => root = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
-            _ => usage(),
-        }
-    }
-    rayon::set_num_threads(8);
+const FAST: Flag = Flag::switch("--fast", "run the reduced CI sweep");
+const OUT: Flag = Flag::of::<PathBuf>(
+    "--out",
+    "FILE",
+    "write the certificate to FILE (default TORTURE.json)",
+);
+const WORK: Flag = Flag::of::<PathBuf>(
+    "--work",
+    "DIR",
+    "scratch directory for the cells (default a fresh one under the temp dir)",
+);
 
-    let root = root.unwrap_or_else(|| {
+fn main() {
+    let args = Args::from_env("torture", &[FAST, OUT, WORK]);
+    let fast = args.given(&FAST);
+    let out = args
+        .get(&OUT)
+        .unwrap_or_else(|| PathBuf::from("TORTURE.json"));
+    let root = args.get(&WORK).unwrap_or_else(|| {
         std::env::temp_dir().join(format!("mwrd-torture-{}", std::process::id()))
     });
+    rayon::set_num_threads(8);
+
     let _ = std::fs::remove_dir_all(&root);
 
     // Fault-free reference at 1 thread. The determinism contract makes
@@ -375,9 +368,4 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!("torture: certification PASSED");
-}
-
-fn usage() -> ! {
-    eprintln!("usage: torture [--fast] [--out FILE] [--work DIR]");
-    std::process::exit(2);
 }

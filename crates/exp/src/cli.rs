@@ -1,241 +1,295 @@
-//! Minimal hand-rolled CLI argument parsing shared by the experiment
-//! binaries (no external CLI dependency).
+//! The one command-line parser of the experiment binaries (no external CLI
+//! dependency).
+//!
+//! Each binary hands [`Args::from_env`] the [`Flag`]s it reads, and the
+//! parser accepts only those. Any other flag, a flag without its value or a
+//! value its check refuses exits 2 before any work, with the binary's flag
+//! list; `--help` prints that list and also exits 2. A flag given twice
+//! keeps its last value. Reading a flag the binary did not hand over
+//! panics, so no binary reads a flag it does not accept.
+//!
+//! The shared flags are the constants below. Their defaults: `--seed`
+//! 0xEED5, `--out results`, `--replicates` 100 (`--fast` caps it at 25),
+//! `--checkpoint-every` 512. Which binary reads which flag:
+//!
+//! | Binary | Flags |
+//! |---|---|
+//! | all but `mwrepaird` and `torture` | `--threads N`, `--profile PATH`, `--quiet`, plus those below |
+//! | `table1`, `cost_model`, `sync_stall` | `--out DIR` |
+//! | `amortization`, `regret_curves` | `--seed S`, `--out DIR` |
+//! | `export_datasets` | `--only SUBSTR`, `--out DIR` |
+//! | `bandit_baselines`, `congestion`, `eval_cost`, `fig4a`, `fig4b`, `repair_comparison`, `sweep_params` ([`SWEEP`]) | `--replicates N`, `--fast`, `--seed S`, `--out DIR` |
+//! | `tables234` | those four, `--only SUBSTR`, `--trace PATH` |
+//! | `chaos` | those four, `--rates LIST`, `--size K`, `--max-iterations N` |
+//! | `mwrepair_run` | `--seed S`, `--trace PATH`, `--checkpoint PATH`, `--resume PATH`, `--checkpoint-every N`, `--scenario SUBSTR`, `--alg NAME`, `--halt-after N`, `--max-iterations N` |
+//! | `mwrepaird` | `--work DIR`, `--jobs FILE\|-`, `--slice N`, `--halt-after ROUNDS`, `--threads N`, `--trace-segment-bytes N`, `--profile` (a switch), `--quiet`, `--fault-rate R`, `--fault-class CLASS`, `--fault-seed N` |
+//! | `torture` | `--fast`, `--out FILE`, `--work DIR` |
 
-use std::path::PathBuf;
+use crate::write_results_csv;
+use mwu_core::trace::Tee;
+use mwu_core::{JsonlSink, ProgressSink};
+use std::fmt::{Display, Write};
+use std::fs::File;
+use std::io::BufWriter;
+use std::num::NonZeroUsize;
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
-/// Flags every experiment binary accepts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CommonArgs {
-    /// Replicates per cell (`--replicates N`, paper default 100).
-    pub replicates: usize,
-    /// Base seed (`--seed S`).
-    pub seed: u64,
-    /// Output directory for CSVs (`--out DIR`, default `results/`).
-    pub out_dir: PathBuf,
-    /// `--fast`: shrink replicates to 25 for a quick single-core pass.
-    pub fast: bool,
-    /// Restrict to datasets whose name contains this substring
-    /// (`--only SUBSTR`).
-    pub only: Option<String>,
-    /// Write a JSONL run trace to this path (`--trace PATH`). Every grid
-    /// replicate's trace header carries its derived seed, so any replicate
-    /// can be re-run standalone from the trace alone.
-    pub trace: Option<PathBuf>,
-    /// Suppress stderr progress narration (`--quiet`).
-    pub quiet: bool,
-    /// Write crash-safe run checkpoints to this path (`--checkpoint PATH`).
-    /// Binaries with a resumable driver persist state there atomically;
-    /// see `docs/FAULTS.md` for the file format.
-    pub checkpoint: Option<PathBuf>,
-    /// Resume a killed run from this checkpoint file (`--resume PATH`).
-    pub resume: Option<PathBuf>,
-    /// Probes between checkpoint writes (`--checkpoint-every N`,
-    /// default 512).
-    pub checkpoint_every: u64,
-    /// Thread-pool size (`--threads N`). `None` defers to
-    /// `RAYON_NUM_THREADS`, then the hardware parallelism. Output is
-    /// byte-identical at every setting; see `docs/PARALLELISM.md`.
-    pub threads: Option<usize>,
-    /// Enable the phase profiler and write a `profile/v1` JSON report to
-    /// this path at exit (`--profile PATH`). Profiling is observational
-    /// only: every CSV/trace byte is identical with it on or off; see
-    /// `docs/TELEMETRY.md`.
-    pub profile: Option<PathBuf>,
+/// One flag a binary reads.
+#[derive(Debug, Clone, Copy)]
+pub struct Flag {
+    /// Its spelling, e.g. `--seed`.
+    name: &'static str,
+    /// Placeholder for its value in the flag list (`N`, `PATH`); empty for
+    /// a switch, which takes no value.
+    value: &'static str,
+    /// One line for the flag list.
+    help: &'static str,
+    /// Accepts or refuses a value at parse time.
+    check: fn(&str) -> Result<(), String>,
 }
 
-impl Default for CommonArgs {
-    fn default() -> Self {
+impl Flag {
+    /// A flag that takes no value.
+    pub const fn switch(name: &'static str, help: &'static str) -> Self {
         Self {
-            replicates: 100,
-            seed: 0xEED5,
-            out_dir: PathBuf::from("results"),
-            fast: false,
-            only: None,
-            trace: None,
-            quiet: false,
-            checkpoint: None,
-            resume: None,
-            checkpoint_every: 512,
-            threads: None,
-            profile: None,
+            name,
+            value: "",
+            help,
+            check: |_| Ok(()),
+        }
+    }
+
+    /// A flag whose value must parse as `T`.
+    pub const fn of<T: FromStr>(name: &'static str, value: &'static str, help: &'static str) -> Self
+    where
+        T::Err: Display,
+    {
+        Self {
+            name,
+            value,
+            help,
+            check: parses::<T>,
         }
     }
 }
 
-impl CommonArgs {
-    /// Parse from an iterator of arguments (excluding the program name).
-    ///
-    /// Unknown flags produce an error string listing valid flags, so every
-    /// binary fails loudly rather than silently ignoring a typo.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
-        let mut out = Self::default();
-        let mut it = args.into_iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--replicates" => {
-                    let v = it.next().ok_or("--replicates needs a value")?;
-                    out.replicates = v.parse().map_err(|e| format!("--replicates {v:?}: {e}"))?;
-                    if out.replicates == 0 {
-                        return Err("--replicates must be positive".into());
-                    }
-                }
-                "--seed" => {
-                    let v = it.next().ok_or("--seed needs a value")?;
-                    out.seed = v.parse().map_err(|e| format!("--seed {v:?}: {e}"))?;
-                }
-                "--out" => {
-                    let v = it.next().ok_or("--out needs a value")?;
-                    out.out_dir = PathBuf::from(v);
-                }
-                "--fast" => {
-                    out.fast = true;
-                }
-                "--only" => {
-                    let v = it.next().ok_or("--only needs a value")?;
-                    out.only = Some(v);
-                }
-                "--trace" => {
-                    let v = it.next().ok_or("--trace needs a path")?;
-                    out.trace = Some(PathBuf::from(v));
-                }
-                "--quiet" => {
-                    out.quiet = true;
-                }
-                "--checkpoint" => {
-                    let v = it.next().ok_or("--checkpoint needs a path")?;
-                    out.checkpoint = Some(PathBuf::from(v));
-                }
-                "--resume" => {
-                    let v = it.next().ok_or("--resume needs a path")?;
-                    out.resume = Some(PathBuf::from(v));
-                }
-                "--checkpoint-every" => {
-                    let v = it.next().ok_or("--checkpoint-every needs a value")?;
-                    out.checkpoint_every = v
-                        .parse()
-                        .map_err(|e| format!("--checkpoint-every {v:?}: {e}"))?;
-                }
-                "--threads" => {
-                    let v = it.next().ok_or("--threads needs a value")?;
-                    let n: usize = v.parse().map_err(|e| format!("--threads {v:?}: {e}"))?;
-                    if n == 0 {
-                        return Err("--threads must be positive".into());
-                    }
-                    out.threads = Some(n);
-                }
-                "--profile" => {
-                    let v = it.next().ok_or("--profile needs a path")?;
-                    out.profile = Some(PathBuf::from(v));
-                }
-                "--help" | "-h" => {
-                    return Err("flags: --replicates N | --seed S | --out DIR | --fast | \
-                         --only SUBSTR | --trace PATH | --quiet | --checkpoint PATH | \
-                         --resume PATH | --checkpoint-every N | --threads N | \
-                         --profile PATH"
-                        .into())
-                }
-                other => return Err(format!("unknown flag {other:?} (try --help)")),
+fn parses<T: FromStr>(v: &str) -> Result<(), String>
+where
+    T::Err: Display,
+{
+    v.parse::<T>().map(drop).map_err(|e| e.to_string())
+}
+
+/// `--threads N`, else `RAYON_NUM_THREADS`, else all CPUs. Output is
+/// byte-identical at every setting (`docs/PARALLELISM.md`).
+pub const THREADS: Flag =
+    Flag::of::<NonZeroUsize>("--threads", "N", "pool size (default all CPUs)");
+/// `--profile PATH`: a `profile/v1` phase report; never changes an output byte.
+pub const PROFILE: Flag = Flag::of::<PathBuf>("--profile", "PATH", "profile/v1 report to PATH");
+/// `--quiet`: no progress narration on stderr.
+pub const QUIET: Flag = Flag::switch("--quiet", "print no progress on stderr");
+/// `--out DIR`: where the CSVs go.
+pub const OUT: Flag = Flag::of::<PathBuf>("--out", "DIR", "write CSVs into DIR (default results)");
+/// `--seed S`: the base seed.
+pub const SEED: Flag = Flag::of::<u64>("--seed", "S", "base seed (default 60885 = 0xEED5)");
+/// `--replicates N`: the paper's 100 by default.
+pub const REPLICATES: Flag =
+    Flag::of::<NonZeroUsize>("--replicates", "N", "replicates per cell (default 100)");
+/// `--fast`: a quick single-core pass.
+pub const FAST: Flag = Flag::switch("--fast", "cap replicates at 25");
+/// `--only SUBSTR`: run only the datasets whose name contains SUBSTR.
+pub const ONLY: Flag = Flag::of::<String>("--only", "SUBSTR", "only datasets matching SUBSTR");
+/// `--trace PATH`: a JSONL run trace, each replicate re-runnable from it.
+pub const TRACE: Flag = Flag::of::<PathBuf>("--trace", "PATH", "write a JSONL run trace to PATH");
+/// `--checkpoint PATH`: crash-safe run checkpoints (`docs/FAULTS.md`).
+pub const CHECKPOINT: Flag = Flag::of::<PathBuf>("--checkpoint", "PATH", "checkpoints go to PATH");
+/// `--resume PATH`: continue a killed run from its checkpoint.
+pub const RESUME: Flag = Flag::of::<PathBuf>("--resume", "PATH", "resume from checkpoint PATH");
+/// `--checkpoint-every N`: probes between checkpoint writes.
+pub const CHECKPOINT_EVERY: Flag = Flag::of::<u64>(
+    "--checkpoint-every",
+    "N",
+    "probes between checkpoints (default 512)",
+);
+/// The flags of a replicated sweep: `--replicates`, `--fast`, `--seed`,
+/// `--out` and the `--threads`, `--profile`, `--quiet` every experiment reads.
+pub const SWEEP: &[Flag] = &[REPLICATES, FAST, SEED, OUT, THREADS, PROFILE, QUIET];
+
+/// One binary's command line, checked against the flags it reads.
+#[derive(Debug)]
+pub struct Args {
+    bin: &'static str,
+    flags: &'static [Flag],
+    /// The last value given for each flag, in `flags` order; `""` for a
+    /// switch.
+    values: Vec<Option<String>>,
+}
+
+impl Args {
+    /// Check `argv` (without the program name) against `flags`. `Err`
+    /// holds what to print: the flag list for `--help`, else the fault and
+    /// then the list.
+    fn parse<I: IntoIterator<Item = String>>(
+        bin: &'static str,
+        flags: &'static [Flag],
+        argv: I,
+    ) -> Result<Self, String> {
+        let refuse = |fault: String| format!("{bin}: {fault}\n{}", usage(bin, flags));
+        let mut values = vec![None; flags.len()];
+        let mut argv = argv.into_iter();
+        while let Some(arg) = argv.next() {
+            let Some(i) = flags.iter().position(|f| f.name == arg) else {
+                return Err(match arg.as_str() {
+                    "--help" | "-h" => usage(bin, flags),
+                    _ => refuse(format!("unknown flag {arg:?}")),
+                });
+            };
+            let flag = flags[i];
+            if flag.value.is_empty() {
+                values[i] = Some(String::new());
+                continue;
             }
+            let v = argv
+                .next()
+                .ok_or_else(|| refuse(format!("{} needs a value", flag.name)))?;
+            (flag.check)(&v).map_err(|e| refuse(format!("{} {v:?}: {e}", flag.name)))?;
+            values[i] = Some(v);
         }
-        if out.fast {
-            out.replicates = out.replicates.min(25);
-        }
-        Ok(out)
+        Ok(Self { bin, flags, values })
     }
 
-    /// Parse from the process environment, exiting with a message on error.
-    /// Applies `--threads` to the global pool before returning.
-    pub fn from_env() -> Self {
-        match Self::parse(std::env::args().skip(1)) {
-            Ok(a) => {
-                a.apply_parallelism();
-                a.apply_profiling();
-                a
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
+    /// Check this process's arguments against `flags`, or print why not and
+    /// exit 2. Applies `--threads N` to the global pool and arms the phase
+    /// profiler for `--profile PATH`, where the binary reads them.
+    pub fn from_env(bin: &'static str, flags: &'static [Flag]) -> Self {
+        let args = Self::parse(bin, flags, std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        });
+        if let Some(n) = args
+            .slot(&THREADS)
+            .and_then(|_| args.get::<NonZeroUsize>(&THREADS))
+        {
+            rayon::set_num_threads(n.get());
+        }
+        if args.slot(&PROFILE).is_some_and(|_| args.given(&PROFILE)) {
+            install_profile_hooks();
+            mwu_core::prof::set_enabled(true);
+        }
+        args
+    }
+
+    /// Where `flag` sits among the flags handed over. A switch and a valued
+    /// flag of the same name are different flags.
+    fn slot(&self, flag: &Flag) -> Option<usize> {
+        let same = |f: &Flag| f.name == flag.name && f.value == flag.value;
+        self.flags.iter().position(same)
+    }
+
+    fn raw(&self, flag: &Flag) -> Option<&str> {
+        let Some(i) = self.slot(flag) else {
+            panic!("{} does not accept {}", self.bin, flag.name)
+        };
+        self.values[i].as_deref()
+    }
+
+    /// Was `flag` given?
+    pub fn given(&self, flag: &Flag) -> bool {
+        self.raw(flag).is_some()
+    }
+
+    /// The value given for `flag`, parsed as `T` (its check ran at parse
+    /// time).
+    pub fn get<T: FromStr>(&self, flag: &Flag) -> Option<T> {
+        self.raw(flag).map(|v| match v.parse() {
+            Ok(t) => t,
+            Err(_) => panic!("{} {v:?} passed its check but does not parse", flag.name),
+        })
+    }
+
+    /// Print `fault` and this binary's flags, then exit 2.
+    pub fn fail(&self, fault: impl Display) -> ! {
+        eprintln!("{}: {fault}\n{}", self.bin, usage(self.bin, self.flags));
+        std::process::exit(2);
+    }
+
+    /// Print one line of progress on stderr, unless `--quiet`.
+    pub fn progress(&self, line: impl Display) {
+        if !self.given(&QUIET) {
+            eprintln!("{line}");
         }
     }
 
-    /// Arm the phase profiler when `--profile` was given: enable
-    /// `mwu_core::prof` and bridge the pool/simnet fn-pointer hooks into
-    /// [`mwu_core::prof::record_external`]. Without the flag this is a
-    /// no-op and every instrumented site stays one relaxed atomic load.
-    pub fn apply_profiling(&self) {
-        if self.profile.is_none() {
-            return;
-        }
-        install_profile_hooks();
-        mwu_core::prof::set_enabled(true);
+    /// `--seed`, default 0xEED5.
+    pub fn seed(&self) -> u64 {
+        self.get(&SEED).unwrap_or(0xEED5)
     }
 
-    /// Write the merged `profile/v1` report to the `--profile` path, if
-    /// one was requested. Call once, after the run's last parallel work.
-    pub fn write_profile(&self) {
-        let Some(path) = &self.profile else { return };
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).expect("create profile directory");
-            }
-        }
-        let report = mwu_core::prof::snapshot();
-        std::fs::write(path, report.to_json() + "\n")
-            .unwrap_or_else(|e| panic!("cannot write profile {}: {e}", path.display()));
-        if !self.quiet {
-            eprintln!("profile report written to {}", path.display());
-        }
+    /// `--replicates`, default 100, capped at 25 by `--fast`.
+    pub fn replicates(&self) -> usize {
+        let cap = if self.given(&FAST) { 25 } else { usize::MAX };
+        self.get(&REPLICATES)
+            .map_or(100, NonZeroUsize::get)
+            .min(cap)
     }
 
-    /// Push `--threads` into the global pool. Returns `false` (with a
-    /// warning on stderr) when the pool was already initialized at a
-    /// different size — thread count must be set before any parallel work.
-    pub fn apply_parallelism(&self) -> bool {
-        match self.threads {
-            Some(n) => {
-                let applied = rayon::set_num_threads(n);
-                if !applied {
-                    eprintln!(
-                        "warning: --threads {n} ignored; pool already running \
-                         with {} threads",
-                        rayon::current_num_threads()
-                    );
-                }
-                applied
-            }
-            None => true,
-        }
+    /// `--out`, default `results`.
+    pub fn out_dir(&self) -> PathBuf {
+        self.get(&OUT).unwrap_or_else(|| PathBuf::from("results"))
     }
 
-    /// Should dataset `name` run under the `--only` filter?
+    /// Write CSV `name` into `--out` and say so unless `--quiet`.
+    pub fn write_csv(&self, name: &str, header: &[&str], rows: &[Vec<String>]) {
+        let path = write_results_csv(&self.out_dir(), name, header, rows)
+            .unwrap_or_else(|e| panic!("cannot write {name}: {e}"));
+        self.progress(format_args!("wrote {}", path.display()));
+    }
+
+    /// Should dataset `name` run under `--only`?
     pub fn selects(&self, name: &str) -> bool {
-        match &self.only {
-            Some(s) => name.contains(s.as_str()),
-            None => true,
-        }
+        self.raw(&ONLY).is_none_or(|s| name.contains(s))
     }
 
-    /// Build the observer this invocation asked for — a JSONL trace sink
-    /// when `--trace` was given, teed with progress narration unless
-    /// `--quiet`. Binaries drive their grid through the returned observer.
-    pub fn observer(
-        &self,
-    ) -> mwu_core::trace::Tee<
-        Option<mwu_core::JsonlSink<std::io::BufWriter<std::fs::File>>>,
-        mwu_core::ProgressSink,
-    > {
-        let jsonl = self.trace.as_deref().map(|p| {
-            if let Some(parent) = p.parent() {
-                if !parent.as_os_str().is_empty() {
-                    std::fs::create_dir_all(parent).expect("create trace directory");
-                }
-            }
-            mwu_core::JsonlSink::create(p)
+    /// The observer this invocation asked for: a JSONL sink for `--trace`,
+    /// teed with progress narration unless `--quiet`.
+    pub fn observer(&self) -> Tee<Option<JsonlSink<BufWriter<File>>>, ProgressSink> {
+        let jsonl = self.get::<PathBuf>(&TRACE).map(|p| {
+            create_parent(&p);
+            JsonlSink::create(&p)
                 .unwrap_or_else(|e| panic!("cannot create trace file {}: {e}", p.display()))
         });
-        mwu_core::trace::Tee(jsonl, mwu_core::ProgressSink::quiet(self.quiet))
+        Tee(jsonl, ProgressSink::quiet(self.given(&QUIET)))
     }
+
+    /// Write the merged `profile/v1` report to the `--profile` path, if one
+    /// was given. Call once, after the run's last parallel work.
+    pub fn write_profile(&self) {
+        let Some(path) = self.get::<PathBuf>(&PROFILE) else {
+            return;
+        };
+        create_parent(&path);
+        std::fs::write(&path, mwu_core::prof::snapshot().to_json() + "\n")
+            .unwrap_or_else(|e| panic!("cannot write profile {}: {e}", path.display()));
+        self.progress(format_args!("profile report written to {}", path.display()));
+    }
+}
+
+fn create_parent(path: &Path) {
+    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        std::fs::create_dir_all(parent)
+            .unwrap_or_else(|e| panic!("cannot create {}: {e}", parent.display()));
+    }
+}
+
+/// The flag list `--help` prints, one flag a line.
+fn usage(bin: &str, flags: &[Flag]) -> String {
+    let mut text = format!("usage: {bin} [FLAGS]\nflags:");
+    for f in flags {
+        let spelled = format!("{} {}", f.name, f.value);
+        let _ = write!(text, "\n  {:<28} {}", spelled.trim_end(), f.help);
+    }
+    text
 }
 
 /// Bridge the pool and simnet fn-pointer profiling hooks into
@@ -274,82 +328,112 @@ fn bridge_sim_event(event: simnet::SimEvent, duration_ns: u64) {
 mod tests {
     use super::*;
 
-    fn p(args: &[&str]) -> Result<CommonArgs, String> {
-        CommonArgs::parse(args.iter().map(|s| s.to_string()))
+    const GRID: &[Flag] = &[
+        ONLY, TRACE, REPLICATES, FAST, SEED, OUT, THREADS, PROFILE, QUIET,
+    ];
+    const RUN: &[Flag] = &[SEED, TRACE, CHECKPOINT, RESUME, CHECKPOINT_EVERY, QUIET];
+
+    /// Parse a space-separated command line.
+    fn p(flags: &'static [Flag], line: &str) -> Result<Args, String> {
+        Args::parse("bin", flags, line.split_whitespace().map(String::from))
     }
 
     #[test]
     fn defaults() {
-        let a = p(&[]).unwrap();
-        assert_eq!(a.replicates, 100);
-        assert!(a.selects("anything"));
+        let a = p(GRID, "").unwrap();
+        assert_eq!((a.replicates(), a.seed()), (100, 0xEED5));
+        assert_eq!(a.out_dir(), PathBuf::from("results"));
+        assert!(!a.given(&QUIET) && a.selects("anything"));
+        assert_eq!(p(RUN, "").unwrap().get::<u64>(&CHECKPOINT_EVERY), None);
     }
 
     #[test]
     fn parses_all_flags() {
-        let a = p(&[
-            "--replicates",
-            "10",
-            "--seed",
-            "7",
-            "--out",
-            "/tmp/r",
-            "--only",
-            "random",
-        ])
+        let a = p(
+            GRID,
+            "--replicates 10 --seed 7 --out /tmp/r --only random --quiet",
+        )
         .unwrap();
-        assert_eq!(a.replicates, 10);
-        assert_eq!(a.seed, 7);
-        assert_eq!(a.out_dir, PathBuf::from("/tmp/r"));
-        assert!(a.selects("random64"));
-        assert!(!a.selects("Chart26"));
+        assert_eq!((a.replicates(), a.seed()), (10, 7));
+        assert_eq!(a.out_dir(), PathBuf::from("/tmp/r"));
+        assert!(a.given(&QUIET) && a.selects("random64") && !a.selects("Chart26"));
+        // The last of a repeated flag wins.
+        assert_eq!(p(GRID, "--seed 1 --seed 2").unwrap().seed(), 2);
     }
 
     #[test]
     fn fast_caps_replicates() {
-        let a = p(&["--fast"]).unwrap();
-        assert_eq!(a.replicates, 25);
-        let b = p(&["--replicates", "10", "--fast"]).unwrap();
-        assert_eq!(b.replicates, 10);
+        assert_eq!(p(GRID, "--fast").unwrap().replicates(), 25);
+        assert_eq!(p(GRID, "--replicates 10 --fast").unwrap().replicates(), 10);
     }
 
     #[test]
     fn parses_checkpoint_flags() {
-        let a = p(&["--checkpoint", "/tmp/run.ckpt", "--checkpoint-every", "64"]).unwrap();
-        assert_eq!(a.checkpoint, Some(PathBuf::from("/tmp/run.ckpt")));
-        assert_eq!(a.checkpoint_every, 64);
-        assert_eq!(a.resume, None);
-        let b = p(&["--resume", "/tmp/run.ckpt"]).unwrap();
-        assert_eq!(b.resume, Some(PathBuf::from("/tmp/run.ckpt")));
-        assert!(p(&["--checkpoint-every", "many"]).is_err());
-        assert!(p(&["--resume"]).is_err());
+        let a = p(RUN, "--checkpoint /tmp/run.ckpt --checkpoint-every 64").unwrap();
+        assert_eq!(a.get(&CHECKPOINT), Some(PathBuf::from("/tmp/run.ckpt")));
+        assert_eq!(a.get::<u64>(&CHECKPOINT_EVERY), Some(64));
+        assert_eq!(a.get::<PathBuf>(&RESUME), None);
+        let b = p(RUN, "--resume /tmp/run.ckpt").unwrap();
+        assert_eq!(b.get(&RESUME), Some(PathBuf::from("/tmp/run.ckpt")));
+        for refused in ["--checkpoint-every many", "--resume"] {
+            assert!(p(RUN, refused).is_err(), "{refused}");
+        }
+        // The grid does not read checkpoint flags, so it refuses them.
+        assert!(p(GRID, "--checkpoint /tmp/run.ckpt").is_err());
     }
 
     #[test]
     fn rejects_unknown_and_invalid() {
-        assert!(p(&["--frobnicate"]).is_err());
-        assert!(p(&["--replicates"]).is_err());
-        assert!(p(&["--replicates", "zero"]).is_err());
-        assert!(p(&["--replicates", "0"]).is_err());
-        assert!(p(&["--help"]).is_err());
+        for refused in [
+            "--frobnicate",
+            "--replicates",
+            "--replicates zero",
+            "--replicates 0",
+            "--seed -1",
+        ] {
+            assert!(p(GRID, refused).is_err(), "{refused}");
+        }
+        let e = p(RUN, "--fast").unwrap_err();
+        assert!(e.starts_with("bin: unknown flag \"--fast\"\n"), "{e}");
+        assert!(e.contains("--checkpoint-every N"), "{e}");
+    }
+
+    #[test]
+    fn help_lists_only_the_flags_handed_over() {
+        let help = p(RUN, "--help").unwrap_err();
+        assert!(help.starts_with("usage: bin [FLAGS]\nflags:\n"), "{help}");
+        assert_eq!(help.lines().count(), 2 + RUN.len(), "{help}");
+        assert!(RUN.iter().all(|f| help.contains(&format!("  {} ", f.name))));
+        assert!(!help.contains("--replicates"), "{help}");
+        assert_eq!(p(GRID, "-h").unwrap_err(), usage("bin", GRID));
+    }
+
+    #[test]
+    #[should_panic(expected = "bin does not accept --seed")]
+    fn reading_an_unaccepted_flag_panics() {
+        p(&[QUIET], "").unwrap().seed();
     }
 
     #[test]
     fn parses_profile() {
-        assert_eq!(p(&[]).unwrap().profile, None);
-        let a = p(&["--profile", "/tmp/prof.json"]).unwrap();
-        assert_eq!(a.profile, Some(PathBuf::from("/tmp/prof.json")));
-        assert!(p(&["--profile"]).is_err());
-        assert!(p(&["--help"]).unwrap_err().contains("--profile"));
+        assert_eq!(p(GRID, "").unwrap().get::<PathBuf>(&PROFILE), None);
+        let a = p(GRID, "--profile /tmp/prof.json").unwrap();
+        assert_eq!(a.get(&PROFILE), Some(PathBuf::from("/tmp/prof.json")));
+        assert!(p(GRID, "--profile").is_err());
+        assert!(p(GRID, "--help").unwrap_err().contains("--profile PATH"));
+        // A switch of the same name is another flag.
+        const DAEMON: &[Flag] = &[Flag::switch("--profile", "metrics.json")];
+        assert_eq!(p(DAEMON, "--profile").unwrap().slot(&PROFILE), None);
     }
 
     #[test]
     fn parses_threads() {
-        assert_eq!(p(&[]).unwrap().threads, None);
-        assert_eq!(p(&["--threads", "4"]).unwrap().threads, Some(4));
-        assert!(p(&["--threads"]).is_err());
-        assert!(p(&["--threads", "0"]).is_err());
-        assert!(p(&["--threads", "lots"]).is_err());
-        assert!(p(&["--help"]).unwrap_err().contains("--threads"));
+        let threads = |line| p(GRID, line).map(|a| a.get::<NonZeroUsize>(&THREADS));
+        assert_eq!(threads(""), Ok(None));
+        assert_eq!(threads("--threads 4"), Ok(NonZeroUsize::new(4)));
+        for refused in ["--threads", "--threads 0", "--threads lots"] {
+            assert!(threads(refused).is_err(), "{refused}");
+        }
+        assert!(p(GRID, "--help").unwrap_err().contains("--threads N"));
     }
 }

@@ -161,7 +161,7 @@ fn aggregate_and_emit<O: Observer>(
     let mut converged = 0u64;
     for (r, run_seed, outcome) in outcomes {
         iterations.push(outcome.iterations as f64);
-        accuracy.push(dataset.accuracy_of(outcome.leader));
+        accuracy.push(outcome.accuracy(&dataset.values));
         cpu_iterations.push(outcome.cpu_iterations as f64);
         peak_congestion.push(outcome.comm.peak_congestion as f64);
         if outcome.converged {

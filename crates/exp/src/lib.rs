@@ -17,9 +17,9 @@
 //! | `mwrepair_run` | robustness — crash-safe MWRepair with `--checkpoint` / `--resume` / `--halt-after` |
 //! | `mwrepaird` | service — multi-tenant repair daemon over a JSONL job spool (docs/SERVICE.md) |
 //!
-//! Every binary prints the paper-shaped table to stdout and writes CSV into
-//! `results/`. Common flags: `--replicates N` (default 100, the paper's
-//! count), `--seed S`, `--out DIR`.
+//! Every artifact binary prints the paper-shaped table to stdout and writes
+//! CSV into `results/`. Each binary accepts exactly the flags it reads; the
+//! [`cli`] module lists them and their defaults.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -29,6 +29,6 @@ pub mod grid;
 pub mod social;
 pub mod tables;
 
-pub use cli::{install_profile_hooks, CommonArgs};
+pub use cli::{install_profile_hooks, Args, Flag};
 pub use grid::{replicate_seed, run_grid_observed, CellResult, GridConfig};
 pub use tables::{render_table, write_results_csv};

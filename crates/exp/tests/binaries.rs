@@ -1,7 +1,7 @@
 //! Experiment binaries end to end: what `--quiet` leaves on stderr, what
-//! lands on stdout, and the CSVs they write.
+//! lands on stdout, the CSVs they write, and the flags they refuse.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn out_dir(tag: &str) -> PathBuf {
@@ -97,4 +97,91 @@ fn tables234_writes_all_three_tables_from_one_grid_pass() {
         .count();
     assert_eq!(cells, 3);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The path of binary `name`; cargo builds them all beside each other.
+fn bin(name: &str) -> String {
+    let dir = Path::new(env!("CARGO_BIN_EXE_table1")).parent().unwrap();
+    let exe = format!("{name}{}", std::env::consts::EXE_SUFFIX);
+    dir.join(exe).to_string_lossy().into_owned()
+}
+
+/// Every binary that finishes in seconds, and the CSVs it writes. Each is
+/// seed-determined or analytic, and debug and release builds write the
+/// same bytes, so each must match its committed artifact exactly.
+const FAST: &[(&str, &[&str])] = &[
+    ("table1", &["table1.csv"]),
+    ("fig4a", &["fig4a.csv"]),
+    ("fig4b", &["fig4b.csv"]),
+    ("cost_model", &["cost_model.csv", "cost_model_sweep.csv"]),
+    ("congestion", &["congestion.csv"]),
+    ("sync_stall", &["sync_stall.csv"]),
+    ("amortization", &["amortization.csv"]),
+    ("regret_curves", &["regret_curves.csv"]),
+    ("eval_cost", &["eval_cost.csv"]),
+    ("export_datasets", &["datasets_summary.csv"]),
+];
+
+#[test]
+fn fast_binaries_reproduce_the_committed_csvs_quietly() {
+    let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    for (name, csvs) in FAST {
+        let dir = out_dir(name);
+        let out = run(&bin(name), &["--quiet", "--out", dir.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.is_empty(), "{name} --quiet left stderr: {stderr}");
+        for csv in *csvs {
+            let written = std::fs::read(dir.join(csv)).unwrap();
+            let same = written == std::fs::read(results.join(csv)).unwrap();
+            assert!(same, "{name}: {csv} differs from results/{csv}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Each binary, one flag it does not read, and the flags it needs.
+const UNREAD: &[(&str, &str)] = &[
+    ("amortization", "--replicates 3"),
+    ("bandit_baselines", "--only random"),
+    ("chaos", "--trace t.jsonl"),
+    ("congestion", "--trace t.jsonl"),
+    ("cost_model", "--seed 1"),
+    ("eval_cost", "--checkpoint c.ckpt"),
+    ("export_datasets", "--seed 1"),
+    ("fig4a", "--trace t.jsonl"),
+    ("fig4b", "--only gzip"),
+    ("mwrepair_run", "--out results"),
+    ("mwrepaird", "--work w --seed 1"),
+    ("regret_curves", "--fast"),
+    ("repair_comparison", "--trace t.jsonl"),
+    ("sweep_params", "--resume c.ckpt"),
+    ("sync_stall", "--replicates 3"),
+    ("table1", "--seed 1"),
+    ("tables234", "--checkpoint-every 5"),
+    ("torture", "--quiet"),
+];
+
+#[test]
+fn every_binary_refuses_a_flag_it_does_not_read_before_any_work() {
+    for (name, line) in UNREAD {
+        // Default output paths are relative, so an empty working directory
+        // shows whether anything was written.
+        let cwd = out_dir(&format!("unread-{name}"));
+        std::fs::create_dir_all(&cwd).unwrap();
+        let mut cmd = Command::new(bin(name));
+        let out = cmd
+            .args(line.split(' '))
+            .current_dir(&cwd)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name} {line}: {stderr}");
+        let flag = line.split(' ').rfind(|a| a.starts_with("--")).unwrap();
+        let refusal = format!("{name}: unknown flag \"{flag}\"\nusage: {name} ");
+        assert!(stderr.starts_with(&refusal), "{name} {line}: {stderr}");
+        assert!(out.stdout.is_empty(), "{name} {line} wrote stdout");
+        let written = std::fs::read_dir(&cwd).unwrap().count();
+        assert_eq!(written, 0, "{name} {line} wrote into its working directory");
+        let _ = std::fs::remove_dir_all(&cwd);
+    }
 }

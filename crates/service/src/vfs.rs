@@ -430,6 +430,18 @@ impl StorageFaultConfig {
         }
     }
 
+    /// The adversary named `class` (`eio`, `mixed`, `torn` or `lies`) at
+    /// `rate`; `None` for any other name.
+    pub fn named(class: &str, rate: f64) -> Option<Self> {
+        match class {
+            "eio" => Some(Self::eio(rate)),
+            "mixed" => Some(Self::mixed(rate)),
+            "torn" => Some(Self::torn(rate)),
+            "lies" => Some(Self::lies(rate)),
+            _ => None,
+        }
+    }
+
     /// Are all rates zero?
     pub fn is_quiescent(&self) -> bool {
         self.eio_rate == 0.0
@@ -1024,6 +1036,16 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn named_classes_match_their_constructors() {
+        let named = |class| StorageFaultConfig::named(class, 0.3);
+        assert_eq!(named("eio"), Some(StorageFaultConfig::eio(0.3)));
+        assert_eq!(named("mixed"), Some(StorageFaultConfig::mixed(0.3)));
+        assert_eq!(named("torn"), Some(StorageFaultConfig::torn(0.3)));
+        assert_eq!(named("lies"), Some(StorageFaultConfig::lies(0.3)));
+        assert_eq!(named("Mixed"), None);
     }
 
     #[test]

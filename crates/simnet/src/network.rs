@@ -107,11 +107,6 @@ impl Network {
         self.retry = Some(policy);
     }
 
-    /// The fault plan in force, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
-    }
-
     /// Register the next agent. Agents receive ids in registration order.
     ///
     /// # Panics

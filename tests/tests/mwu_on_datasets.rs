@@ -40,7 +40,7 @@ fn all_variants_exceed_90_percent_accuracy_on_small_datasets() {
             for rep in 0..reps {
                 let out = run_variant(variant, &dataset, test_seed(1, rep))
                     .expect("small instances are tractable");
-                acc_sum += dataset.accuracy_of(out.leader);
+                acc_sum += out.accuracy(&dataset.values);
             }
             let mean = acc_sum / reps as f64;
             assert!(
