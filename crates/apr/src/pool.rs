@@ -134,14 +134,6 @@ impl MutationPool {
         }
     }
 
-    /// Build directly from known-safe mutations (tests, serialization).
-    pub fn from_mutations(mutations: Vec<Mutation>) -> Self {
-        Self {
-            candidates_tested: mutations.len() as u64,
-            mutations,
-        }
-    }
-
     /// The safe mutations.
     pub fn mutations(&self) -> &[Mutation] {
         &self.mutations
@@ -259,6 +251,14 @@ mod tests {
     use super::*;
     use crate::interaction::InteractionModel;
 
+    /// A pool of `mutations` as given, without validating them.
+    fn from_mutations(mutations: Vec<Mutation>) -> MutationPool {
+        MutationPool {
+            candidates_tested: mutations.len() as u64,
+            mutations,
+        }
+    }
+
     fn setup() -> (Program, TestSuite, WorldParams) {
         let world = WorldParams {
             world_seed: 99,
@@ -342,7 +342,7 @@ mod tests {
         ) {
             // Cases of every size share this thread's permutation, so its
             // prefix is reused across pools. Narrow words repeat members.
-            let pool = MutationPool::from_mutations(
+            let pool = from_mutations(
                 words
                     .iter()
                     .map(|&w| Mutation {
@@ -372,7 +372,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn oversized_sample_panics() {
-        let pool = MutationPool::from_mutations(vec![]);
+        let pool = from_mutations(vec![]);
         let mut rng = SmallRng::seed_from_u64(0);
         let _ = pool.sample_composition(1, &mut rng);
     }

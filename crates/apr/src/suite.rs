@@ -106,19 +106,6 @@ impl TestSuite {
     pub fn max_fitness(&self) -> u32 {
         self.tests.len() as u32
     }
-
-    /// Add a new required test (paper §III-C: suites grow over time and the
-    /// precomputed pool is revalidated incrementally).
-    pub fn push_required(&mut self, cost_ms: u64) -> usize {
-        let id = self.tests.len();
-        self.tests.push(TestCase {
-            id,
-            cost_ms,
-            triggers_bug: false,
-        });
-        self.total_cost_ms += cost_ms;
-        id
-    }
 }
 
 #[cfg(test)]
@@ -156,16 +143,6 @@ mod tests {
         assert!(min >= 5);
         assert!(max <= 5000);
         assert!(max > 10 * min, "expected heavy tail, got {min}..{max}");
-    }
-
-    #[test]
-    fn push_required_grows_suite_and_cost() {
-        let mut s = TestSuite::synthetic(5, 1, 0);
-        let before = s.full_run_cost_ms();
-        let id = s.push_required(42);
-        assert_eq!(id, 6);
-        assert_eq!(s.n_required(), 6);
-        assert_eq!(s.full_run_cost_ms(), before + 42);
     }
 
     #[test]

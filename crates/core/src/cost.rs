@@ -15,7 +15,8 @@
 //!    convergence time, CPU demand and memory; the model then predicts
 //!    which variant minimizes total cost. §IV-E.2's concrete
 //!    recommendations — e.g. APR's expensive-evaluation/cheap-communication
-//!    regime favors Standard or Slate — fall out of [`WeightedCostModel::recommend`].
+//!    regime favors Standard or Slate — fall out of
+//!    [`WeightedCostModel::recommend_for_k`].
 
 use serde::{Deserialize, Serialize};
 
@@ -240,20 +241,6 @@ impl WeightedCostModel {
             + self.weights.memory * a.memory
     }
 
-    /// The variant this model predicts is cheapest at `p`.
-    pub fn recommend(&self, p: &CostParams) -> Variant {
-        let mut best = Variant::Standard;
-        let mut best_cost = self.cost(best, p);
-        for v in [Variant::Distributed, Variant::Slate] {
-            let c = self.cost(v, p);
-            if c < best_cost {
-                best_cost = c;
-                best = v;
-            }
-        }
-        best
-    }
-
     /// Cost of every variant, in [`Variant::ALL`] order.
     pub fn costs(&self, p: &CostParams) -> [(Variant, f64); 3] {
         [
@@ -307,6 +294,12 @@ mod tests {
         CostParams::new(k, n)
     }
 
+    /// The variant `m` prices cheapest at `p`.
+    fn cheapest(m: &WeightedCostModel, p: &CostParams) -> Variant {
+        let costs = m.costs(p);
+        costs.iter().min_by(|a, b| a.1.total_cmp(&b.1)).unwrap().0
+    }
+
     #[test]
     fn table1_orderings_hold() {
         let p = params(1024, 64);
@@ -332,7 +325,7 @@ mod tests {
     #[test]
     fn communication_bound_model_prefers_distributed() {
         let m = WeightedCostModel::new(CostWeights::communication_bound());
-        assert_eq!(m.recommend(&params(1024, 256)), Variant::Distributed);
+        assert_eq!(cheapest(&m, &params(1024, 256)), Variant::Distributed);
     }
 
     #[test]
@@ -340,7 +333,7 @@ mod tests {
         // §IV-E.2: evaluation expensive, communication cheap ⇒ Distributed's
         // communication edge cannot pay for its CPU/convergence profile.
         let m = WeightedCostModel::new(CostWeights::apr_regime());
-        let rec = m.recommend(&params(1024, 1024));
+        let rec = cheapest(&m, &params(1024, 1024));
         assert!(
             rec == Variant::Standard || rec == Variant::Slate,
             "recommended {rec}"
@@ -352,7 +345,7 @@ mod tests {
         // §IV-E.1: "this analysis clearly favors Distributed" for the
         // bare communication+convergence model.
         let m = WeightedCostModel::new(CostWeights::two_term(1.0, 1.0));
-        assert_eq!(m.recommend(&params(1024, 256)), Variant::Distributed);
+        assert_eq!(cheapest(&m, &params(1024, 256)), Variant::Distributed);
     }
 
     #[test]
@@ -362,16 +355,7 @@ mod tests {
         let c_dist = m.cost(Variant::Distributed, &p);
         let c_std = m.cost(Variant::Standard, &p);
         assert!(c_std < c_dist);
-        assert_ne!(m.recommend(&p), Variant::Distributed);
-    }
-
-    #[test]
-    fn costs_array_is_consistent_with_recommend() {
-        let m = WeightedCostModel::new(CostWeights::two_term(3.0, 7.0));
-        let p = params(512, 128);
-        let costs = m.costs(&p);
-        let best = costs.iter().min_by(|a, b| a.1.total_cmp(&b.1)).unwrap().0;
-        assert_eq!(best, m.recommend(&p));
+        assert_ne!(cheapest(&m, &p), Variant::Distributed);
     }
 
     #[test]

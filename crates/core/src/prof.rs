@@ -100,8 +100,6 @@ pub enum Phase {
     PoolPrecompute,
     /// Repair driver: one probe batch — patch evaluations for one iteration.
     ProbeLoop,
-    /// Repair driver: serializing and atomically writing a checkpoint.
-    CheckpointWrite,
     /// Service: running one bounded slice of repair iterations.
     SliceRun,
     /// Service: appending trace bytes to the session's trace segment.
@@ -121,7 +119,7 @@ pub enum Phase {
 }
 
 /// Number of phases — length of every per-thread accumulator array.
-pub const NUM_PHASES: usize = 24;
+pub const NUM_PHASES: usize = 23;
 
 impl Phase {
     /// Every phase, in report order.
@@ -142,7 +140,6 @@ impl Phase {
         Phase::ProbeEvaluate,
         Phase::PoolPrecompute,
         Phase::ProbeLoop,
-        Phase::CheckpointWrite,
         Phase::SliceRun,
         Phase::TraceAppend,
         Phase::Fsync,
@@ -171,7 +168,6 @@ impl Phase {
             Phase::ProbeEvaluate => "probe_evaluate",
             Phase::PoolPrecompute => "pool_precompute",
             Phase::ProbeLoop => "probe_loop",
-            Phase::CheckpointWrite => "checkpoint_write",
             Phase::SliceRun => "slice_run",
             Phase::TraceAppend => "trace_append",
             Phase::Fsync => "fsync",

@@ -64,16 +64,6 @@ pub fn generate(k: usize, seed: u64) -> Vec<f64> {
     raw.iter().map(|&v| 0.95 * v / max).collect()
 }
 
-/// Index (0-based) of the mode of the generated instance.
-pub fn mode_index(values: &[f64]) -> usize {
-    values
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .map(|(i, _)| i)
-        .unwrap_or(0)
-}
-
 /// Name used in the paper's tables ("unimodal64", ...).
 pub fn name(k: usize) -> String {
     format!("unimodal{k}")
@@ -82,6 +72,16 @@ pub fn name(k: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Index (0-based) of the mode of a generated instance.
+    fn mode_index(values: &[f64]) -> usize {
+        values
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .map(|(i, _)| i)
+            .unwrap_or(0)
+    }
 
     #[test]
     fn values_bounded_and_peak_at_095() {

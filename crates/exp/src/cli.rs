@@ -9,8 +9,8 @@
 //! panics, so no binary reads a flag it does not accept.
 //!
 //! The shared flags are the constants below. Their defaults: `--seed`
-//! 0xEED5, `--out results`, `--replicates` 100 (`--fast` caps it at 25),
-//! `--checkpoint-every` 512. Which binary reads which flag:
+//! 0xEED5, `--out results`, `--replicates` 100 (`--fast` caps it at 25).
+//! Which binary reads which flag:
 //!
 //! | Binary | Flags |
 //! |---|---|
@@ -21,7 +21,6 @@
 //! | `bandit_baselines`, `congestion`, `eval_cost`, `fig4a`, `fig4b`, `repair_comparison`, `sweep_params` ([`SWEEP`]) | `--replicates N`, `--fast`, `--seed S`, `--out DIR` |
 //! | `tables234` | those four, `--only SUBSTR`, `--trace PATH` |
 //! | `chaos` | those four, `--rates LIST`, `--size K`, `--max-iterations N` |
-//! | `mwrepair_run` | `--seed S`, `--trace PATH`, `--checkpoint PATH`, `--resume PATH`, `--checkpoint-every N`, `--scenario SUBSTR`, `--alg NAME`, `--halt-after N`, `--max-iterations N` |
 //! | `mwrepaird` | `--work DIR`, `--jobs FILE\|-`, `--slice N`, `--halt-after ROUNDS`, `--threads N`, `--trace-segment-bytes N`, `--profile` (a switch), `--quiet`, `--fault-rate R`, `--fault-class CLASS`, `--fault-seed N` |
 //! | `torture` | `--fast`, `--out FILE`, `--work DIR` |
 
@@ -102,16 +101,6 @@ pub const FAST: Flag = Flag::switch("--fast", "cap replicates at 25");
 pub const ONLY: Flag = Flag::of::<String>("--only", "SUBSTR", "only datasets matching SUBSTR");
 /// `--trace PATH`: a JSONL run trace, each replicate re-runnable from it.
 pub const TRACE: Flag = Flag::of::<PathBuf>("--trace", "PATH", "write a JSONL run trace to PATH");
-/// `--checkpoint PATH`: crash-safe run checkpoints (`docs/FAULTS.md`).
-pub const CHECKPOINT: Flag = Flag::of::<PathBuf>("--checkpoint", "PATH", "checkpoints go to PATH");
-/// `--resume PATH`: continue a killed run from its checkpoint.
-pub const RESUME: Flag = Flag::of::<PathBuf>("--resume", "PATH", "resume from checkpoint PATH");
-/// `--checkpoint-every N`: probes between checkpoint writes.
-pub const CHECKPOINT_EVERY: Flag = Flag::of::<u64>(
-    "--checkpoint-every",
-    "N",
-    "probes between checkpoints (default 512)",
-);
 /// The flags of a replicated sweep: `--replicates`, `--fast`, `--seed`,
 /// `--out` and the `--threads`, `--profile`, `--quiet` every experiment reads.
 pub const SWEEP: &[Flag] = &[REPLICATES, FAST, SEED, OUT, THREADS, PROFILE, QUIET];
@@ -331,7 +320,7 @@ mod tests {
     const GRID: &[Flag] = &[
         ONLY, TRACE, REPLICATES, FAST, SEED, OUT, THREADS, PROFILE, QUIET,
     ];
-    const RUN: &[Flag] = &[SEED, TRACE, CHECKPOINT, RESUME, CHECKPOINT_EVERY, QUIET];
+    const FEW: &[Flag] = &[SEED, TRACE, QUIET];
 
     /// Parse a space-separated command line.
     fn p(flags: &'static [Flag], line: &str) -> Result<Args, String> {
@@ -344,7 +333,7 @@ mod tests {
         assert_eq!((a.replicates(), a.seed()), (100, 0xEED5));
         assert_eq!(a.out_dir(), PathBuf::from("results"));
         assert!(!a.given(&QUIET) && a.selects("anything"));
-        assert_eq!(p(RUN, "").unwrap().get::<u64>(&CHECKPOINT_EVERY), None);
+        assert_eq!(p(FEW, "").unwrap().get::<PathBuf>(&TRACE), None);
     }
 
     #[test]
@@ -368,21 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_checkpoint_flags() {
-        let a = p(RUN, "--checkpoint /tmp/run.ckpt --checkpoint-every 64").unwrap();
-        assert_eq!(a.get(&CHECKPOINT), Some(PathBuf::from("/tmp/run.ckpt")));
-        assert_eq!(a.get::<u64>(&CHECKPOINT_EVERY), Some(64));
-        assert_eq!(a.get::<PathBuf>(&RESUME), None);
-        let b = p(RUN, "--resume /tmp/run.ckpt").unwrap();
-        assert_eq!(b.get(&RESUME), Some(PathBuf::from("/tmp/run.ckpt")));
-        for refused in ["--checkpoint-every many", "--resume"] {
-            assert!(p(RUN, refused).is_err(), "{refused}");
-        }
-        // The grid does not read checkpoint flags, so it refuses them.
-        assert!(p(GRID, "--checkpoint /tmp/run.ckpt").is_err());
-    }
-
-    #[test]
     fn rejects_unknown_and_invalid() {
         for refused in [
             "--frobnicate",
@@ -393,17 +367,17 @@ mod tests {
         ] {
             assert!(p(GRID, refused).is_err(), "{refused}");
         }
-        let e = p(RUN, "--fast").unwrap_err();
+        let e = p(FEW, "--fast").unwrap_err();
         assert!(e.starts_with("bin: unknown flag \"--fast\"\n"), "{e}");
-        assert!(e.contains("--checkpoint-every N"), "{e}");
+        assert!(e.contains("--trace PATH"), "{e}");
     }
 
     #[test]
     fn help_lists_only_the_flags_handed_over() {
-        let help = p(RUN, "--help").unwrap_err();
+        let help = p(FEW, "--help").unwrap_err();
         assert!(help.starts_with("usage: bin [FLAGS]\nflags:\n"), "{help}");
-        assert_eq!(help.lines().count(), 2 + RUN.len(), "{help}");
-        assert!(RUN.iter().all(|f| help.contains(&format!("  {} ", f.name))));
+        assert_eq!(help.lines().count(), 2 + FEW.len(), "{help}");
+        assert!(FEW.iter().all(|f| help.contains(&format!("  {} ", f.name))));
         assert!(!help.contains("--replicates"), "{help}");
         assert_eq!(p(GRID, "-h").unwrap_err(), usage("bin", GRID));
     }

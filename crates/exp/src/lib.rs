@@ -14,8 +14,7 @@
 //! | `sync_stall` | §III-C — synchronization-stall motivation for precomputation |
 //! | `repair_comparison` | §IV-G — MWRepair vs. GenProg / RSRepair / AE |
 //! | `chaos` | robustness — convergence degradation under injected faults (docs/FAULTS.md) |
-//! | `mwrepair_run` | robustness — crash-safe MWRepair with `--checkpoint` / `--resume` / `--halt-after` |
-//! | `mwrepaird` | service — multi-tenant repair daemon over a JSONL job spool (docs/SERVICE.md) |
+//! | `mwrepaird` | service — multi-tenant repair daemon over a JSONL job spool, and the one resumable way to run a repair: `--halt-after` stops it, a rerun resumes it byte-identically (docs/SERVICE.md) |
 //!
 //! Every artifact binary prints the paper-shaped table to stdout and writes
 //! CSV into `results/`. Each binary accepts exactly the flags it reads; the

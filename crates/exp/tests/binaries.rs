@@ -150,7 +150,6 @@ const UNREAD: &[(&str, &str)] = &[
     ("export_datasets", "--seed 1"),
     ("fig4a", "--trace t.jsonl"),
     ("fig4b", "--only gzip"),
-    ("mwrepair_run", "--out results"),
     ("mwrepaird", "--work w --seed 1"),
     ("regret_curves", "--fast"),
     ("repair_comparison", "--trace t.jsonl"),

@@ -1,7 +1,7 @@
-//! Crash-safe checkpoint / resume for the MWRepair online phase.
+//! Resumable state of the MWRepair online phase.
 //!
 //! A [`Checkpoint`] captures everything the driver loop in
-//! [`crate::driver::repair_resumable`] needs to continue a killed run
+//! [`crate::driver::repair_resumable`] needs to continue a halted run
 //! *byte-identically*: the full MWU algorithm state (weights / population
 //! counts / convergence tracker, via its serde impl), the master RNG state,
 //! the absolute iteration and probe counters, and the cost-ledger snapshot.
@@ -9,31 +9,29 @@
 //! never carried across iterations, the master RNG state plus the iteration
 //! number fully determine every random draw the resumed run will make.
 //!
-//! ## File format
+//! ## Where checkpoints live
 //!
-//! One JSON object (see [`Checkpoint`] for fields), written atomically
-//! through a [`Vfs`]: the bytes go to `<path>.tmp` which is fsynced and
-//! then renamed over `<path>`, so a crash mid-write can never leave a
-//! truncated checkpoint — readers observe either the previous complete
-//! file or the new one. The leading `version` field gates compatibility:
-//! [`Checkpoint::load`] rejects files whose version differs from
-//! [`CHECKPOINT_VERSION`] rather than misinterpreting them.
+//! This crate stores nothing. A checkpoint is one JSON object (see
+//! [`Checkpoint`] for fields); the `mwrepaird` daemon embeds it in each
+//! session's `session.json`, which its staged durability epoch writes
+//! (`mwrepair-service`, docs/SERVICE.md). The leading `version` field gates
+//! compatibility: [`Checkpoint::validate_against`], which every resume
+//! runs, rejects a version other than [`CHECKPOINT_VERSION`] rather than
+//! misinterpreting it.
 //!
 //! Floating-point state round-trips bit-exactly: the vendored serde JSON
 //! codec prints `f64` via shortest-round-trip formatting and parses with
 //! `str::parse`, so `weights -> JSON -> weights` is the identity.
 
 use crate::driver::MwRepairConfig;
-use crate::vfs::{tmp_path, Vfs};
 use apr_sim::ledger::CostSnapshot;
 use mwu_core::MwuAlgorithm;
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
-use std::path::Path;
 
-/// Current on-disk checkpoint format version. Bump on any incompatible
-/// change to [`Checkpoint`] or to the serialized algorithm state.
+/// Current checkpoint format version. Bump on any incompatible change to
+/// [`Checkpoint`] or to the serialized algorithm state.
 pub const CHECKPOINT_VERSION: u32 = 1;
 
 /// Serialized state of a paused MWRepair run.
@@ -62,16 +60,14 @@ pub struct Checkpoint {
     pub convergence_reported: bool,
 }
 
-/// Why a checkpoint could not be loaded or applied.
+/// Why a checkpoint could not be applied.
 #[derive(Debug)]
 pub enum CheckpointError {
-    /// Filesystem failure (open / read / write / rename).
-    Io(std::io::Error),
-    /// File exists but is not a valid checkpoint document.
+    /// The serialized algorithm state does not decode.
     Parse(String),
-    /// File is a checkpoint, but from an incompatible format version.
+    /// The checkpoint is from an incompatible format version.
     VersionMismatch {
-        /// Version found in the file.
+        /// Version found in the checkpoint.
         found: u32,
         /// Version this build understands.
         expected: u32,
@@ -84,7 +80,6 @@ pub enum CheckpointError {
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CheckpointError::Io(e) => write!(f, "checkpoint I/O error: {e}"),
             CheckpointError::Parse(m) => write!(f, "checkpoint parse error: {m}"),
             CheckpointError::VersionMismatch { found, expected } => write!(
                 f,
@@ -96,12 +91,6 @@ impl fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
-
-impl From<std::io::Error> for CheckpointError {
-    fn from(e: std::io::Error) -> Self {
-        CheckpointError::Io(e)
-    }
-}
 
 impl Checkpoint {
     /// Capture the live state of a run between iterations.
@@ -130,7 +119,7 @@ impl Checkpoint {
     /// Reconstruct the algorithm this checkpoint was captured from.
     ///
     /// Fails if the serialized state does not deserialize as `A` (wrong
-    /// variant, corrupted file).
+    /// variant, corrupted state).
     pub fn restore_algorithm<A: MwuAlgorithm + Deserialize>(&self) -> Result<A, CheckpointError> {
         let alg = A::from_value(&self.alg_state)
             .map_err(|e| CheckpointError::Parse(format!("algorithm state: {e}")))?;
@@ -149,13 +138,19 @@ impl Checkpoint {
         SmallRng::from_state(self.rng_state)
     }
 
-    /// Verify this checkpoint belongs to a run of `config` with an
-    /// algorithm named `alg_name`.
+    /// Verify this checkpoint has this build's format version and belongs
+    /// to a run of `config` with an algorithm named `alg_name`.
     pub fn validate_against(
         &self,
         alg_name: &str,
         config: &MwRepairConfig,
     ) -> Result<(), CheckpointError> {
+        if self.version != CHECKPOINT_VERSION {
+            return Err(CheckpointError::VersionMismatch {
+                found: self.version,
+                expected: CHECKPOINT_VERSION,
+            });
+        }
         if self.algorithm != alg_name {
             return Err(CheckpointError::Incompatible(format!(
                 "checkpoint algorithm '{}' != requested '{alg_name}'",
@@ -168,63 +163,6 @@ impl Checkpoint {
             ));
         }
         Ok(())
-    }
-
-    /// Serialize to the canonical single-line JSON document.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("checkpoint serialization is infallible")
-    }
-
-    /// Parse and version-check a checkpoint document.
-    pub fn from_json(s: &str) -> Result<Self, CheckpointError> {
-        // Version-gate before full decoding so a future-format file yields
-        // a clear error instead of a field-level parse failure.
-        let value =
-            serde_json::from_str_value(s).map_err(|e| CheckpointError::Parse(e.to_string()))?;
-        let version = u32::from_value(value.field("version"))
-            .map_err(|e| CheckpointError::Parse(format!("version field: {e}")))?;
-        if version != CHECKPOINT_VERSION {
-            return Err(CheckpointError::VersionMismatch {
-                found: version,
-                expected: CHECKPOINT_VERSION,
-            });
-        }
-        Checkpoint::from_value(&value).map_err(|e| CheckpointError::Parse(e.to_string()))
-    }
-
-    /// Write atomically and durably through `vfs` ([`Vfs::write_atomic`]:
-    /// `<path>.tmp`, fsync, rename over `path`, fsync the parent
-    /// directory). A crash at any point leaves either the old complete
-    /// file or the new one, never a torn write — and once this returns,
-    /// the rename itself survives a crash.
-    pub fn save_atomic(&self, vfs: &dyn Vfs, path: &Path) -> Result<(), CheckpointError> {
-        let _span = mwu_core::prof::span(mwu_core::prof::Phase::CheckpointWrite);
-        let mut doc = self.to_json();
-        doc.push('\n');
-        vfs.write_atomic(path, doc.as_bytes())?;
-        Ok(())
-    }
-
-    /// Load and version-check a checkpoint file.
-    pub fn load(vfs: &dyn Vfs, path: &Path) -> Result<Self, CheckpointError> {
-        let bytes = vfs.read(path)?;
-        let text = String::from_utf8(bytes)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        Checkpoint::from_json(&text)
-    }
-
-    /// Startup sweep: remove an orphaned `<path>.tmp` left by a crash
-    /// between [`Checkpoint::save_atomic`]'s tmp write and its rename.
-    /// The tmp file is by definition unvouched-for (possibly torn), so it
-    /// must never shadow — or be mistaken for — the real checkpoint.
-    /// Returns whether an orphan was removed.
-    pub fn sweep_orphan_tmp(vfs: &dyn Vfs, path: &Path) -> Result<bool, CheckpointError> {
-        let tmp = tmp_path(path);
-        match vfs.remove_file(&tmp) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(CheckpointError::Io(e)),
-        }
     }
 }
 
@@ -257,11 +195,15 @@ mod tests {
         )
     }
 
+    /// Serialize and parse, as `session.json` carries a checkpoint.
+    fn round_trip(ck: &Checkpoint) -> Checkpoint {
+        serde_json::from_str(&serde_json::to_string(ck).unwrap()).unwrap()
+    }
+
     #[test]
     fn json_round_trip_is_identity() {
         let ck = sample_checkpoint();
-        let back = Checkpoint::from_json(&ck.to_json()).unwrap();
-        assert_eq!(ck, back);
+        assert_eq!(ck, round_trip(&ck));
     }
 
     #[test]
@@ -286,7 +228,7 @@ mod tests {
             },
             false,
         );
-        let ck = Checkpoint::from_json(&ck.to_json()).unwrap();
+        let ck = round_trip(&ck);
         let mut alg2: SlateMwu = ck.restore_algorithm().unwrap();
         let mut rng2 = ck.restore_rng();
 
@@ -306,9 +248,9 @@ mod tests {
 
     #[test]
     fn wrong_version_is_rejected() {
-        let ck = sample_checkpoint();
-        let json = ck.to_json().replace("\"version\":1", "\"version\":999");
-        match Checkpoint::from_json(&json) {
+        let mut ck = sample_checkpoint();
+        ck.version = 999;
+        match ck.validate_against("standard", &MwRepairConfig::seeded(7)) {
             Err(CheckpointError::VersionMismatch { found, expected }) => {
                 assert_eq!(found, 999);
                 assert_eq!(expected, CHECKPOINT_VERSION);
@@ -337,12 +279,8 @@ mod tests {
 
     #[test]
     fn truncated_file_is_a_parse_error() {
-        let ck = sample_checkpoint();
-        let json = ck.to_json();
+        let json = serde_json::to_string(&sample_checkpoint()).unwrap();
         let truncated = &json[..json.len() / 2];
-        assert!(matches!(
-            Checkpoint::from_json(truncated),
-            Err(CheckpointError::Parse(_))
-        ));
+        assert!(serde_json::from_str::<Checkpoint>(truncated).is_err());
     }
 }

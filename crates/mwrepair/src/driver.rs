@@ -14,6 +14,15 @@
 //!    "Terminate Early").
 //! 3. `MWU_Update` — observed rewards update the weights.
 //!
+//! ## Halt and resume
+//!
+//! [`repair_resumable`] can stop after a given number of update cycles and
+//! hand back a [`Checkpoint`]; passed back in, it continues the run to the
+//! outcome and trace bytes of an uninterrupted run (only the fresh call
+//! emits `RunStart`). The driver stores nothing: the `mwrepaird` daemon
+//! (crate `mwrepair-service`) keeps each session's checkpoint in its
+//! `session.json`.
+//!
 //! ## Reward definition
 //!
 //! Fig. 6 line 9 scores a probe `1` when `f(P') ≥ f(P)` (fitness retained).
@@ -28,7 +37,6 @@
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::report::{RepairOutcome, RepairReport};
-use crate::vfs::Vfs;
 use apr_sim::{BugScenario, CostLedger, Mutation, MutationPool};
 use mwu_core::rng::mix;
 use mwu_core::trace::{
@@ -44,8 +52,6 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::path::PathBuf;
-use std::sync::Arc;
 
 thread_local! {
     /// This thread's probe composition, reused across probes.
@@ -144,46 +150,43 @@ pub fn repair_observed<A: MwuAlgorithm, O: Observer>(
     observer: &mut O,
 ) -> RepairOutcome {
     let mut rng = SmallRng::seed_from_u64(config.seed);
-    let (outcome, _halted) = run_loop(
-        scenario,
-        pool,
-        alg,
-        config,
-        ledger,
-        observer,
-        &mut rng,
-        0,
-        0,
-        false,
-        None,
-        |_: CheckpointArgs<'_, A>| Ok(()),
-    )
-    .expect("no-op checkpoint hook cannot fail");
-    outcome
+    match run_loop(
+        scenario, pool, alg, config, ledger, observer, &mut rng, None, None,
+    ) {
+        LoopEnd::Complete(outcome) => outcome,
+        LoopEnd::Halted(_) => unreachable!("no halt was asked for"),
+    }
 }
 
-/// State handed to the checkpoint hook after each completed update cycle.
-struct CheckpointArgs<'a, A> {
-    alg: &'a A,
+/// Where a run stands between two update cycles: where a resumed
+/// [`run_loop`] starts, and where a halted one stopped.
+#[derive(Debug, Clone, Copy, Default)]
+struct Position {
     /// Completed update cycles (absolute).
     iteration: usize,
     /// Probes issued so far (absolute).
     probes: u64,
-    rng: &'a SmallRng,
+    /// Whether the convergence event was already emitted.
     convergence_reported: bool,
-    /// True when the session is about to halt: the hook must persist state
-    /// now regardless of its cadence policy.
-    force: bool,
 }
 
-/// The Fig. 6 update-cycle loop, shared by [`repair_observed`] (hook is a
-/// no-op) and [`repair_resumable`] (hook writes checkpoints). Starts at
-/// absolute iteration `start_iteration` with `init_probes` probes already
-/// accounted; `halt_after` bounds the number of cycles executed *in this
-/// call* (cooperative kill). Returns the outcome plus whether the session
-/// halted early.
+/// How [`run_loop`] ended.
+enum LoopEnd {
+    /// A repair was found or `max_iterations` elapsed.
+    Complete(RepairOutcome),
+    /// `halt_after` cycles ran first; `alg` and `rng` hold the state at
+    /// this position.
+    Halted(Position),
+}
+
+/// The Fig. 6 update-cycle loop, shared by [`repair_observed`] and
+/// [`repair_resumable`]. A fresh run (`resume: None`) starts at iteration 0
+/// and emits `RunStart`; a resumed one starts at `resume`'s position and
+/// does not, so a halted trace followed by its resumed trace is the
+/// uninterrupted trace. `halt_after` bounds the cycles executed *in this
+/// call* (cooperative kill).
 #[allow(clippy::too_many_arguments)]
-fn run_loop<A, O, F>(
+fn run_loop<A: MwuAlgorithm, O: Observer>(
     scenario: &BugScenario,
     pool: &MutationPool,
     alg: &mut A,
@@ -191,17 +194,9 @@ fn run_loop<A, O, F>(
     ledger: Option<&CostLedger>,
     observer: &mut O,
     rng: &mut SmallRng,
-    start_iteration: usize,
-    init_probes: u64,
-    init_convergence_reported: bool,
+    resume: Option<Position>,
     halt_after: Option<usize>,
-    mut checkpoint_hook: F,
-) -> Result<(RepairOutcome, bool), CheckpointError>
-where
-    A: MwuAlgorithm,
-    O: Observer,
-    F: FnMut(CheckpointArgs<'_, A>) -> Result<(), CheckpointError>,
-{
+) -> LoopEnd {
     assert!(!pool.is_empty(), "online phase needs a non-empty pool");
     let arms = effective_arms(pool.len(), config);
     assert_eq!(
@@ -210,11 +205,11 @@ where
         "algorithm arms must match effective_arms(pool, config) (arm i = compose i+1 mutations)"
     );
     let x_max = arms as f64;
-    let mut probes_total: u64 = init_probes;
+    let start = resume.unwrap_or_default();
+    let mut probes_total: u64 = start.probes;
     let mut found: Option<RepairReport> = None;
-    let mut iterations = start_iteration;
-    let mut convergence_reported = init_convergence_reported;
-    let mut halted = false;
+    let mut iterations = start.iteration;
+    let mut convergence_reported = start.convergence_reported;
     // Reused probability snapshot for the observer's entropy figure.
     let mut probs: Vec<f64> = Vec::new();
     // Per-probe cost estimate (EWMA over completed cycles, ns) fed to the
@@ -225,7 +220,7 @@ where
     // Purely a scheduling hint: outcomes are byte-identical for any value.
     let mut probe_cost_hint: u64 = 0;
 
-    if observer.enabled() {
+    if observer.enabled() && resume.is_none() {
         observer.on_run_start(RunStartEvent {
             algorithm: alg.name(),
             num_arms: arms,
@@ -235,18 +230,13 @@ where
         });
     }
 
-    'outer: for t in start_iteration..config.max_iterations {
-        if halt_after == Some(t - start_iteration) {
-            halted = true;
-            checkpoint_hook(CheckpointArgs {
-                alg,
+    'outer: for t in start.iteration..config.max_iterations {
+        if halt_after == Some(t - start.iteration) {
+            return LoopEnd::Halted(Position {
                 iteration: iterations,
                 probes: probes_total,
-                rng,
                 convergence_reported,
-                force: true,
-            })?;
-            break 'outer;
+            });
         }
         let comm_before = if observer.enabled() {
             alg.comm_stats()
@@ -381,18 +371,9 @@ where
                 });
             }
         }
-
-        checkpoint_hook(CheckpointArgs {
-            alg,
-            iteration: t + 1,
-            probes: probes_total,
-            rng,
-            convergence_reported,
-            force: false,
-        })?;
     }
 
-    if observer.enabled() && !halted {
+    if observer.enabled() {
         observer.on_run_end(RunOutcome {
             algorithm: alg.name(),
             iterations,
@@ -417,7 +398,7 @@ where
         leader_arm: alg.leader() + 1,
         mwu_converged: alg.has_converged(),
     };
-    Ok((outcome, halted))
+    LoopEnd::Complete(outcome)
 }
 
 /// Cost attribution when no ledger is shared: every probe costs one full
@@ -436,44 +417,6 @@ fn fallback_cost(
     }
 }
 
-/// When, where and through which storage [`repair_resumable`] persists
-/// checkpoints.
-#[derive(Debug, Clone)]
-pub struct CheckpointPolicy {
-    /// The storage every checkpoint write goes through — the real
-    /// filesystem in production, a fault-injecting disk under test.
-    pub vfs: Arc<dyn Vfs>,
-    /// Destination file (written atomically via tmp + rename).
-    pub path: PathBuf,
-    /// Write a checkpoint once at least this many probes have been issued
-    /// since the last one. `0` checkpoints after every update cycle.
-    pub every_probes: u64,
-}
-
-impl CheckpointPolicy {
-    /// Checkpoint to `path` through `vfs` every `every_probes` probes.
-    pub fn new(vfs: Arc<dyn Vfs>, path: impl Into<PathBuf>, every_probes: u64) -> Self {
-        Self {
-            vfs,
-            path: path.into(),
-            every_probes,
-        }
-    }
-}
-
-/// Session controls for [`repair_resumable`]: checkpoint cadence and an
-/// optional cooperative halt (used by tests and the chaos harness to model
-/// a kill at a known point).
-#[derive(Debug, Clone, Default)]
-pub struct SessionControl {
-    /// Persist checkpoints per this policy. `None`: never write to disk
-    /// (halting still returns an in-memory [`Checkpoint`]).
-    pub checkpoint: Option<CheckpointPolicy>,
-    /// Stop after this many update cycles *in this session* and return
-    /// [`SessionResult::Halted`]. `None`: run to completion.
-    pub halt_after_iterations: Option<usize>,
-}
-
 /// How a [`repair_resumable`] session ended.
 #[derive(Debug, Clone)]
 pub enum SessionResult {
@@ -481,34 +424,28 @@ pub enum SessionResult {
     Complete(RepairOutcome),
     /// The session halted cooperatively; `checkpoint` resumes it.
     Halted {
-        /// State at the halt point (also written to the policy path, if any).
+        /// State at the halt point.
         checkpoint: Box<Checkpoint>,
     },
 }
 
-impl SessionResult {
-    /// The outcome, if the run completed.
-    pub fn outcome(self) -> Option<RepairOutcome> {
-        match self {
-            SessionResult::Complete(o) => Some(o),
-            SessionResult::Halted { .. } => None,
-        }
-    }
-}
-
-/// [`repair_observed`] with crash-safe checkpoint / resume.
+/// [`repair_observed`] that can halt and resume.
 ///
 /// Starting fresh: pass `resume: None`; `alg` is used as constructed.
-/// Resuming: pass the loaded [`Checkpoint`]; `alg`'s state is *overwritten*
-/// from it (the caller constructs any instance of the right variant and
-/// arm count), the master RNG continues from its saved position, and the
-/// absolute iteration / probe counters carry over, so the completed run's
-/// [`RepairOutcome`] is identical to an uninterrupted same-seed run. If a
-/// `ledger` is shared, its totals are restored from the checkpoint too.
+/// Resuming: pass the [`Checkpoint`] a halted call returned; `alg`'s state
+/// is *overwritten* from it (the caller constructs any instance of the
+/// right variant and arm count), the master RNG continues from its saved
+/// position, and the absolute iteration / probe counters carry over, so the
+/// completed run's [`RepairOutcome`] is identical to an uninterrupted
+/// same-seed run. If a `ledger` is shared, its totals are restored from the
+/// checkpoint too.
 ///
-/// Checkpoints are written per `session.checkpoint` after completed update
-/// cycles; a cooperative halt (`session.halt_after_iterations`) always
-/// writes a final checkpoint before returning [`SessionResult::Halted`].
+/// `halt_after` stops the call after that many update cycles and returns
+/// [`SessionResult::Halted`] with the checkpoint to resume from. Only a
+/// fresh call emits `RunStart`, so the traces of a halted call and of its
+/// resumption concatenate to the uninterrupted trace. Storing the
+/// checkpoint is the caller's business (the daemon keeps it in
+/// `session.json`).
 #[allow(clippy::too_many_arguments)]
 pub fn repair_resumable<A, O>(
     scenario: &BugScenario,
@@ -517,87 +454,53 @@ pub fn repair_resumable<A, O>(
     config: &MwRepairConfig,
     ledger: Option<&CostLedger>,
     observer: &mut O,
-    session: &SessionControl,
+    halt_after: Option<usize>,
     resume: Option<&Checkpoint>,
 ) -> Result<SessionResult, CheckpointError>
 where
     A: MwuAlgorithm + serde::Serialize + serde::Deserialize,
     O: Observer,
 {
-    let (start_iteration, init_probes, init_convergence_reported, mut rng) = match resume {
+    let (position, mut rng) = match resume {
         Some(ck) => {
             ck.validate_against(alg.name(), config)?;
             *alg = ck.restore_algorithm()?;
             if let Some(l) = ledger {
                 l.restore(ck.cost);
             }
-            (
-                ck.iteration,
-                ck.probes,
-                ck.convergence_reported,
-                ck.restore_rng(),
-            )
+            let position = Position {
+                iteration: ck.iteration,
+                probes: ck.probes,
+                convergence_reported: ck.convergence_reported,
+            };
+            (Some(position), ck.restore_rng())
         }
-        None => (0, 0, false, SmallRng::seed_from_u64(config.seed)),
+        None => (None, SmallRng::seed_from_u64(config.seed)),
     };
-
-    let mut last_saved: Option<Checkpoint> = None;
-    let mut probes_at_last_save = init_probes;
-    let policy = session.checkpoint.as_ref();
-    let (outcome, halted) = {
-        let last_saved = &mut last_saved;
-        let probes_at_last_save = &mut probes_at_last_save;
-        run_loop(
-            scenario,
-            pool,
-            alg,
-            config,
-            ledger,
-            observer,
-            &mut rng,
-            start_iteration,
-            init_probes,
-            init_convergence_reported,
-            session.halt_after_iterations,
-            |args: CheckpointArgs<'_, A>| {
-                let due = match policy {
-                    Some(p) => args.probes - *probes_at_last_save >= p.every_probes,
-                    None => false,
-                };
-                if !(due || args.force) {
-                    return Ok(());
-                }
-                let cost = match ledger {
-                    Some(l) => l.snapshot(),
-                    None => fallback_cost(scenario, args.probes, args.iteration),
-                };
-                let ck = Checkpoint::capture(
-                    args.alg,
-                    config,
-                    args.iteration,
-                    args.probes,
-                    args.rng,
-                    cost,
-                    args.convergence_reported,
-                );
-                if let Some(p) = policy {
-                    ck.save_atomic(p.vfs.as_ref(), &p.path)?;
-                }
-                *probes_at_last_save = args.probes;
-                *last_saved = Some(ck);
-                Ok(())
-            },
-        )?
-    };
-
-    if halted {
-        let checkpoint = last_saved.expect("halt always captures a checkpoint");
-        Ok(SessionResult::Halted {
-            checkpoint: Box::new(checkpoint),
-        })
-    } else {
-        Ok(SessionResult::Complete(outcome))
-    }
+    let end = run_loop(
+        scenario, pool, alg, config, ledger, observer, &mut rng, position, halt_after,
+    );
+    Ok(match end {
+        LoopEnd::Complete(outcome) => SessionResult::Complete(outcome),
+        LoopEnd::Halted(at) => {
+            let cost = match ledger {
+                Some(l) => l.snapshot(),
+                None => fallback_cost(scenario, at.probes, at.iteration),
+            };
+            let checkpoint = Checkpoint::capture(
+                alg,
+                config,
+                at.iteration,
+                at.probes,
+                &rng,
+                cost,
+                at.convergence_reported,
+            );
+            SessionResult::Halted {
+                checkpoint: Box::new(checkpoint),
+            }
+        }
+    })
 }
 
 /// Which MWU variant drives the online phase (convenience for binaries and
@@ -655,6 +558,7 @@ pub fn repair_with_variant(
 mod tests {
     use super::*;
     use apr_sim::ScenarioKind;
+    use mwu_core::trace::JsonlSink;
     use mwu_core::{SlateConfig, SlateMwu};
 
     fn small_scenario() -> (BugScenario, MutationPool) {
@@ -816,48 +720,45 @@ mod tests {
         let arms = effective_arms(pool.len(), &cfg);
 
         let mut alg = SlateMwu::new(arms, SlateConfig::default());
-        let uninterrupted = repair(&s, &pool, &mut alg, &cfg);
+        let mut sink = JsonlSink::new(Vec::new());
+        let uninterrupted = repair_observed(&s, &pool, &mut alg, &cfg, None, &mut sink);
+        let uninterrupted_trace = sink.into_inner();
 
-        // Kill after 40 iterations, then resume from the in-memory
-        // checkpoint with a *fresh* algorithm instance.
-        let mut alg1 = SlateMwu::new(arms, SlateConfig::default());
-        let session = SessionControl {
-            checkpoint: None,
-            halt_after_iterations: Some(40),
-        };
-        let halted = repair_resumable(
-            &s,
-            &pool,
-            &mut alg1,
-            &cfg,
-            None,
-            &mut NullObserver,
-            &session,
-            None,
-        )
-        .unwrap();
-        let ck = match halted {
-            SessionResult::Halted { checkpoint } => checkpoint,
-            SessionResult::Complete(_) => panic!("expected halt at 40 iterations"),
-        };
-        assert_eq!(ck.iteration, 40);
-
-        let mut alg2 = SlateMwu::new(arms, SlateConfig::default());
-        let resumed = repair_resumable(
-            &s,
-            &pool,
-            &mut alg2,
-            &cfg,
-            None,
-            &mut NullObserver,
-            &SessionControl::default(),
-            Some(&ck),
-        )
-        .unwrap()
-        .outcome()
-        .expect("resumed run should complete");
-
-        assert_eq!(resumed, uninterrupted);
+        // Halt before the first cycle, then after 40 and 25 more, each
+        // time resuming from the checkpoint with a *fresh* algorithm
+        // instance; the last call runs to completion.
+        let mut trace = Vec::new();
+        let mut ck: Option<Box<Checkpoint>> = None;
+        for halt_after in [Some(0), Some(40), Some(25), None] {
+            let mut alg = SlateMwu::new(arms, SlateConfig::default());
+            let mut sink = JsonlSink::new(Vec::new());
+            let result = repair_resumable(
+                &s,
+                &pool,
+                &mut alg,
+                &cfg,
+                None,
+                &mut sink,
+                halt_after,
+                ck.as_deref(),
+            )
+            .unwrap();
+            trace.extend(sink.into_inner());
+            match result {
+                SessionResult::Halted { checkpoint } => {
+                    let at = ck.as_ref().map_or(0, |c| c.iteration);
+                    assert_eq!(checkpoint.iteration, at + halt_after.unwrap());
+                    ck = Some(checkpoint);
+                }
+                SessionResult::Complete(resumed) => {
+                    assert!(halt_after.is_none(), "halted run completed early");
+                    assert_eq!(resumed, uninterrupted);
+                }
+            }
+        }
+        // One RunStart, from the fresh call: the halted and resumed traces
+        // concatenate to the uninterrupted trace.
+        assert_eq!(trace, uninterrupted_trace);
     }
 
     #[test]
@@ -866,12 +767,8 @@ mod tests {
         let cfg = MwRepairConfig::seeded(3);
         let arms = effective_arms(pool.len(), &cfg);
         let mut alg = SlateMwu::new(arms, SlateConfig::default());
-        let session = SessionControl {
-            checkpoint: None,
-            // Halt before the first iteration: always reachable, even when
-            // the scenario repairs immediately.
-            halt_after_iterations: Some(0),
-        };
+        // Halt before the first iteration: always reachable, even when
+        // the scenario repairs immediately.
         let SessionResult::Halted { checkpoint } = repair_resumable(
             &s,
             &pool,
@@ -879,7 +776,7 @@ mod tests {
             &cfg,
             None,
             &mut NullObserver,
-            &session,
+            Some(0),
             None,
         )
         .unwrap() else {
@@ -894,7 +791,7 @@ mod tests {
             &other_cfg,
             None,
             &mut NullObserver,
-            &SessionControl::default(),
+            None,
             Some(&checkpoint),
         )
         .is_err());

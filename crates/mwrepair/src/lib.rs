@@ -41,14 +41,11 @@ pub mod checkpoint;
 pub mod driver;
 pub mod minimize;
 pub mod report;
-pub mod vfs;
 
 pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_VERSION};
 pub use driver::{
     effective_arms, repair, repair_observed, repair_resumable, repair_with_ledger,
-    repair_with_variant, CheckpointPolicy, MwRepairConfig, RewardMode, SessionControl,
-    SessionResult, VariantChoice,
+    repair_with_variant, MwRepairConfig, RewardMode, SessionResult, VariantChoice,
 };
 pub use minimize::{minimize_patch, MinimizedPatch};
 pub use report::{RepairOutcome, RepairReport};
-pub use vfs::Vfs;

@@ -1,13 +1,13 @@
 //! One daemon-managed repair session: sliced execution, durable
 //! checkpointing, and a byte-deterministic trace + report.
 //!
-//! The daemon drives every session in fixed-size iteration slices. Each
-//! slice constructs a fresh algorithm instance of the job's variant, hands
-//! it to [`mwrepair::repair_resumable`] with the previous slice's
-//! [`Checkpoint`] (the checkpoint *is* the carried state — there is no
-//! in-memory algorithm between slices), buffers the slice's trace events
-//! in memory, and then stages its persistence in the round's durability
-//! epoch:
+//! This is the one place a resumable repair persists its state. The daemon
+//! drives every session in fixed-size iteration slices. Each slice
+//! constructs a fresh algorithm instance of the job's variant, hands it to
+//! [`mwrepair::repair_resumable`] with the previous slice's [`Checkpoint`]
+//! (the checkpoint *is* the carried state — there is no in-memory
+//! algorithm between slices), buffers the slice's trace events in memory,
+//! and then stages its persistence in the round's durability epoch:
 //!
 //! 1. append the slice's trace bytes to `trace.jsonl` (no fsync yet);
 //! 2. write `session.json.tmp` (recorded trace length + the new
@@ -21,10 +21,11 @@
 //! identical bytes. That is what makes the kill/resume half of the
 //! determinism contract hold byte-for-byte.
 //!
-//! `RunStart` is emitted by the driver at every `repair_resumable` call;
-//! the per-slice observer suppresses it on every slice but the first, so
-//! a sliced (and resumed) trace is byte-identical to an uninterrupted
-//! `repair_observed` trace of the same job.
+//! The driver emits `RunStart` only on the first slice (the one without a
+//! checkpoint), so a sliced (and resumed) trace is byte-identical to an
+//! uninterrupted `repair_observed` trace of the same job. Every resume
+//! validates the checkpoint's format version, variant and configuration
+//! first; a mismatch quarantines the session with kind `checkpoint`.
 //!
 //! ## Hostile disks and quarantine
 //!
@@ -47,9 +48,9 @@ use apr_sim::ledger::CostSnapshot;
 use apr_sim::{BugScenario, CostLedger, MutationPool};
 use mwrepair::{
     effective_arms, repair_resumable, Checkpoint, CheckpointError, MwRepairConfig, RepairOutcome,
-    SessionControl, SessionResult, VariantChoice,
+    SessionResult, VariantChoice,
 };
-use mwu_core::trace::{JsonlSink, Observer, RunStartEvent, TraceEvent};
+use mwu_core::trace::JsonlSink;
 use mwu_core::{
     DistributedConfig, DistributedMwu, MwuAlgorithm, SlateConfig, SlateMwu, StandardConfig,
     StandardMwu,
@@ -459,7 +460,7 @@ impl SessionRunner {
             if self.vfs.exists(&stale) {
                 self.retrying(StorageOp::Remove, &stale, |vfs| vfs.remove_file(&stale))?;
             }
-            // Recover segment lengths from disk so `read_trace` sees the
+            // Recover segment lengths from disk so the session knows its
             // whole rotated trace (the report is written only after every
             // trace byte landed durably, so on-disk lengths are exact).
             let mut segs = Vec::new();
@@ -766,14 +767,7 @@ impl SessionRunner {
         // Fresh per-slice ledger; repair_resumable restores it from the
         // checkpoint when resuming, so totals stay absolute.
         let ledger = CostLedger::new();
-        let mut sink = SuppressRunStart {
-            inner: JsonlSink::new(Vec::new()),
-            suppress: self.checkpoint.is_some(),
-        };
-        let control = SessionControl {
-            checkpoint: None,
-            halt_after_iterations: Some(slice),
-        };
+        let mut sink = JsonlSink::new(Vec::new());
         let result = repair_resumable(
             &self.data.scenario,
             &self.data.pool,
@@ -781,10 +775,10 @@ impl SessionRunner {
             &self.config,
             Some(&ledger),
             &mut sink,
-            &control,
+            Some(slice),
             self.checkpoint.as_ref(),
         )?;
-        self.append_trace(&sink.inner.into_inner())?;
+        self.append_trace(&sink.into_inner())?;
         match result {
             SessionResult::Halted { checkpoint } => {
                 let meta = SessionMeta {
@@ -932,7 +926,8 @@ impl SessionRunner {
 
     /// Paths of every trace segment the session currently has bytes in,
     /// in concatenation order.
-    pub fn trace_segment_paths(&self) -> Vec<PathBuf> {
+    #[cfg(test)]
+    fn trace_segment_paths(&self) -> Vec<PathBuf> {
         (0..self.segments.len().max(1))
             .map(|i| self.trace_segment_path(i))
             .collect()
@@ -940,7 +935,8 @@ impl SessionRunner {
 
     /// Read the logical trace: the in-order concatenation of all segments.
     /// Byte-identical to the single `trace.jsonl` of an uncapped run.
-    pub fn read_trace(&mut self) -> Result<Vec<u8>, SessionError> {
+    #[cfg(test)]
+    fn read_trace(&mut self) -> Result<Vec<u8>, SessionError> {
         let mut out = Vec::new();
         for i in 0..self.segments.len().max(1) {
             let seg = self.trace_segment_path(i);
@@ -1058,30 +1054,6 @@ pub fn commit_epoch(sessions: &mut [SessionRunner]) -> Option<(usize, f64)> {
         s.publish_epoch();
     }
     barrier
-}
-
-/// Per-slice observer: forwards everything to the inner sink except the
-/// `RunStart` the driver re-emits at every resumed `repair_resumable`
-/// call, so the concatenated slice traces equal one uninterrupted trace.
-struct SuppressRunStart<O> {
-    inner: O,
-    suppress: bool,
-}
-
-impl<O: Observer> Observer for SuppressRunStart<O> {
-    fn enabled(&self) -> bool {
-        self.inner.enabled()
-    }
-
-    fn on_event(&mut self, event: &TraceEvent) {
-        self.inner.on_event(event);
-    }
-
-    fn on_run_start(&mut self, e: RunStartEvent) {
-        if !self.suppress {
-            self.inner.on_run_start(e);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1383,6 +1355,47 @@ mod tests {
         assert_eq!(report, reference_report);
         std::fs::remove_dir_all(&workdir).unwrap();
         std::fs::remove_dir_all(&clean).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_of_another_version_is_quarantined() {
+        let job = test_job("ck-version");
+        let workdir = tmp_workdir("ck-version");
+        let data = data_for(&job);
+        {
+            let mut s = SessionRunner::open(job.clone(), Arc::clone(&data), &workdir).unwrap();
+            step(&mut s, 3);
+            assert!(s.is_active());
+        }
+        // The meta's own version stays 1; only its embedded checkpoint
+        // claims a format this build does not write.
+        let dir = workdir.join("tenants").join(&job.tenant).join(&job.id);
+        let meta = std::fs::read_to_string(dir.join("session.json")).unwrap();
+        let bumped = meta.replace(
+            "\"checkpoint\":{\"version\":1,",
+            "\"checkpoint\":{\"version\":2,",
+        );
+        assert_ne!(bumped, meta, "no embedded checkpoint version to bump");
+        std::fs::write(dir.join("session.json"), bumped).unwrap();
+        let trace_before = std::fs::read(dir.join("trace.jsonl")).unwrap();
+
+        let mut s = SessionRunner::open(job.clone(), data, &workdir).unwrap();
+        assert!(s.is_active(), "the meta itself is valid");
+        step(&mut s, 3);
+        assert!(s.quarantine_if_failed(), "a version-2 checkpoint resumed");
+        let record = s.quarantine().unwrap();
+        assert_eq!(record.kind, "checkpoint");
+        assert!(
+            record.errors[0].contains("version 2"),
+            "{:?}",
+            record.errors
+        );
+        assert_eq!(record.last_durable_trace_len, trace_before.len() as u64);
+        assert_eq!(
+            std::fs::read(dir.join("trace.jsonl")).unwrap(),
+            trace_before
+        );
+        std::fs::remove_dir_all(&workdir).unwrap();
     }
 
     /// Drive an `open_with`-rotated session to completion; returns the

@@ -7,7 +7,7 @@ use rand::rngs::SmallRng;
 pub type AgentId = usize;
 
 /// A point-to-point message. Payloads are cheaply-cloneable byte buffers so
-/// broadcast fan-out does not copy.
+/// sending one payload to many recipients does not copy it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// Sender.
@@ -64,19 +64,6 @@ impl<'a> Context<'a> {
         });
     }
 
-    /// Queue the same payload to every other agent (broadcast).
-    ///
-    /// Routed through [`Context::send`] so broadcast and point-to-point
-    /// traffic share one delivery path — fault injection, byte counting,
-    /// and range checks cannot diverge between the two.
-    pub fn broadcast(&mut self, payload: Bytes) {
-        for to in 0..self.n_agents {
-            if to != self.id {
-                self.send(to, payload.clone());
-            }
-        }
-    }
-
     /// Deterministic per-agent-per-round RNG.
     pub fn rng(&mut self) -> &mut SmallRng {
         self.rng
@@ -104,28 +91,6 @@ impl<F: FnMut(&mut Context<'_>)> Agent for F {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-
-    #[test]
-    fn context_send_and_broadcast() {
-        let mut outbox = Vec::new();
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut halted = false;
-        let inbox: Vec<Message> = vec![];
-        let mut ctx = Context {
-            id: 1,
-            round: 0,
-            n_agents: 4,
-            inbox: &inbox,
-            outbox: &mut outbox,
-            rng: &mut rng,
-            halted: &mut halted,
-        };
-        ctx.send(0, Bytes::from_static(b"hi"));
-        ctx.broadcast(Bytes::from_static(b"all"));
-        assert_eq!(outbox.len(), 1 + 3); // one direct + broadcast to 3 others
-        assert!(outbox.iter().all(|m| m.from == 1));
-        assert!(outbox.iter().all(|m| m.to != 1 || m.payload == "hi"));
-    }
 
     #[test]
     #[should_panic]

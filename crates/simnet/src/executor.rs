@@ -15,11 +15,9 @@
 //! stall. The `sync_stall` experiment binary regenerates the §III-C numbers
 //! with this.
 
-use crate::faults::FaultPlan;
 use crate::profhook::{self, SimEvent};
 use crossbeam::thread;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
@@ -49,9 +47,6 @@ pub struct WorkResult {
     pub stall: Duration,
     /// The largest single round's contribution to [`WorkResult::stall`].
     pub worst_round_stall: Duration,
-    /// (thread, round) pairs slowed by an injected straggler fault (always
-    /// 0 without a fault plan — see [`ThreadPool::run_rounds_faulty`]).
-    pub stragglers: u64,
 }
 
 impl WorkResult {
@@ -96,45 +91,11 @@ impl ThreadPool {
     where
         F: Fn(usize, usize) + Sync,
     {
-        self.run_rounds_inner(rounds, mode, work, None)
-    }
-
-    /// [`run_rounds`](Self::run_rounds) under a fault plan: each (thread,
-    /// round) pair consults [`FaultPlan::straggler_us`] and, when
-    /// straggling, spins for the configured extra latency *inside* its busy
-    /// window — modeling the slow-thread regime of §III-C (under
-    /// [`SyncMode::Barrier`] every other thread absorbs the straggler's
-    /// latency as stall). Straggler hits are counted in
-    /// [`WorkResult::stragglers`].
-    pub fn run_rounds_faulty<F>(
-        &self,
-        rounds: usize,
-        mode: SyncMode,
-        work: F,
-        plan: &FaultPlan,
-    ) -> WorkResult
-    where
-        F: Fn(usize, usize) + Sync,
-    {
-        self.run_rounds_inner(rounds, mode, work, Some(plan))
-    }
-
-    fn run_rounds_inner<F>(
-        &self,
-        rounds: usize,
-        mode: SyncMode,
-        work: F,
-        plan: Option<&FaultPlan>,
-    ) -> WorkResult
-    where
-        F: Fn(usize, usize) + Sync,
-    {
         let n = self.n_threads;
         let barrier = Barrier::new(n);
         // One busy-time series per thread: the stall is computed from the
         // per-round spread after the pool joins.
         let per_thread: Mutex<Vec<Vec<Duration>>> = Mutex::new(vec![Vec::new(); n]);
-        let stragglers = AtomicU64::new(0);
         let t0 = Instant::now();
 
         thread::scope(|s| {
@@ -142,19 +103,11 @@ impl ThreadPool {
                 let work = &work;
                 let barrier = &barrier;
                 let per_thread = &per_thread;
-                let stragglers = &stragglers;
                 s.spawn(move |_| {
                     let mut series = Vec::with_capacity(rounds);
                     for r in 0..rounds {
                         let w0 = Instant::now();
                         work(tid, r);
-                        if let Some(p) = plan {
-                            let extra = p.straggler_us(tid, r);
-                            if extra > 0 {
-                                spin_for_micros(extra);
-                                stragglers.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
                         series.push(w0.elapsed());
                         if mode == SyncMode::Barrier {
                             let wait_t0 = profhook::active().then(Instant::now);
@@ -193,7 +146,6 @@ impl ThreadPool {
             busy: per_thread.iter().flatten().sum(),
             stall,
             worst_round_stall,
-            stragglers: stragglers.into_inner(),
         }
     }
 }
@@ -212,7 +164,7 @@ pub fn spin_for_micros(micros: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
     #[test]
     fn executes_all_items_in_both_modes() {
@@ -317,13 +269,8 @@ mod tests {
     #[test]
     fn zero_rounds_report_nothing() {
         for mode in [SyncMode::Barrier, SyncMode::Free] {
-            let res = ThreadPool::new(3).run_rounds_faulty(
-                0,
-                mode,
-                |_, _| panic!("no round to run"),
-                &straggling_plan(1.0),
-            );
-            assert_eq!((res.items, res.stragglers), (0, 0));
+            let res = ThreadPool::new(3).run_rounds(0, mode, |_, _| panic!("no round to run"));
+            assert_eq!(res.items, 0);
             assert_eq!(res.busy, Duration::ZERO);
             assert_eq!(res.stall, Duration::ZERO);
         }
@@ -335,54 +282,5 @@ mod tests {
         let res = pool.run_rounds(4, SyncMode::Free, |_, _| spin_for_micros(10));
         assert_eq!(res.stall, Duration::ZERO);
         assert_eq!(res.worst_round_stall, Duration::ZERO);
-    }
-
-    fn straggling_plan(rate: f64) -> FaultPlan {
-        use crate::faults::FaultConfig;
-        FaultPlan::new(
-            3,
-            FaultConfig {
-                straggler_rate: rate,
-                straggler_extra_us: 100,
-                ..FaultConfig::default()
-            },
-        )
-    }
-
-    #[test]
-    fn stragglers_injected_and_reported() {
-        let plan = straggling_plan(0.5);
-        let expected = (0..2)
-            .flat_map(|tid| (0..20).map(move |r| (tid, r)))
-            .filter(|&(tid, r)| plan.straggler_us(tid, r) > 0)
-            .count() as u64;
-        assert!(expected > 0, "rate 0.5 over 40 draws should straggle");
-        // Hits are the plan's pure function of (thread, round), whatever
-        // the timing or the sync mode.
-        let pool = ThreadPool::new(2);
-        for mode in [SyncMode::Barrier, SyncMode::Free] {
-            let res = pool.run_rounds_faulty(20, mode, |_, _| {}, &plan);
-            assert_eq!(res.stragglers, expected, "{mode:?}");
-        }
-    }
-
-    #[test]
-    fn quiescent_plan_reports_no_stragglers() {
-        let pool = ThreadPool::new(2);
-        let res = pool.run_rounds_faulty(5, SyncMode::Barrier, |_, _| {}, &FaultPlan::quiescent());
-        assert_eq!(res.stragglers, 0);
-    }
-
-    #[test]
-    fn every_straggler_inflates_busy_time() {
-        // The work closure is empty, so all busy time is injected latency.
-        let pool = ThreadPool::new(2);
-        let res = pool.run_rounds_faulty(5, SyncMode::Barrier, |_, _| {}, &straggling_plan(1.0));
-        assert_eq!(res.stragglers, 10);
-        assert!(
-            res.busy >= Duration::from_micros(2 * 5 * 100),
-            "busy {:?}",
-            res.busy
-        );
     }
 }

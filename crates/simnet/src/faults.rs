@@ -1,8 +1,8 @@
-//! Seeded fault injection for the simulated network and the thread executor.
+//! Seeded fault injection for the simulated network.
 //!
 //! The paper's Distributed MWU analysis (§II-C, Table I) assumes a lossless
 //! synchronous network, but the deployment target is a large parallel
-//! cluster where message loss, stragglers, and agent crashes are routine.
+//! cluster where message loss and agent crashes are routine.
 //! This module provides the deterministic adversary used to measure how the
 //! algorithms degrade: a [`FaultPlan`] built from a seed and a
 //! [`FaultConfig`] of per-event rates.
@@ -25,15 +25,11 @@
 //! * **Crash / restart** — an agent goes down for
 //!   [`FaultConfig::crash_length`] rounds: it does not execute and
 //!   everything addressed to it while down is lost.
-//! * **Straggler** — a thread's round is stretched by extra spin latency
-//!   (the executor-level analogue of the paper's §III-C slow-thread
-//!   analysis).
 //! * **Corrupt** — a loss/reward value is replaced by garbage (NaN or a
 //!   huge magnitude); consumed by the algorithm layer, which must clamp.
 //!
 //! Per-round injected-fault counts are reported as [`FaultRoundStats`]
-//! inside [`crate::stats::RoundStats`] (and straggler hits inside
-//! [`crate::executor::WorkResult`]), so the telemetry pipeline records
+//! inside [`crate::stats::RoundStats`], so the telemetry pipeline records
 //! every injected fault alongside the traffic it perturbed.
 
 use serde::{Deserialize, Serialize};
@@ -41,9 +37,9 @@ use serde::{Deserialize, Serialize};
 /// Per-event-class fault probabilities and shape parameters.
 ///
 /// All rates are probabilities in `[0, 1]`, applied independently per
-/// message (or per agent-round for crashes, per thread-round for
-/// stragglers). The all-zero default injects nothing, and the fault-free
-/// code path is unchanged when no plan is installed.
+/// message (or per agent-round for crashes). The all-zero default injects
+/// nothing, and the fault-free code path is unchanged when no plan is
+/// installed.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultConfig {
     /// Probability a message is dropped.
@@ -60,10 +56,6 @@ pub struct FaultConfig {
     pub crash_rate: f64,
     /// Rounds an agent stays down after a crash begins.
     pub crash_length: u32,
-    /// Per-thread-per-round probability of straggling.
-    pub straggler_rate: f64,
-    /// Extra spin latency (microseconds) a straggling thread incurs.
-    pub straggler_extra_us: u64,
     /// Probability a loss/reward observation is corrupted (NaN or huge).
     pub corrupt_rate: f64,
 }
@@ -78,8 +70,6 @@ impl Default for FaultConfig {
             reorder_rate: 0.0,
             crash_rate: 0.0,
             crash_length: 5,
-            straggler_rate: 0.0,
-            straggler_extra_us: 200,
             corrupt_rate: 0.0,
         }
     }
@@ -95,7 +85,7 @@ impl FaultConfig {
     }
 
     /// A mixed adversary exercising every message-level fault class at
-    /// `rate`, with crashes and stragglers at a tenth of it.
+    /// `rate`, with crashes and corruption at a tenth of it.
     pub fn mixed(rate: f64) -> Self {
         Self {
             drop_rate: rate,
@@ -103,7 +93,6 @@ impl FaultConfig {
             duplicate_rate: rate,
             reorder_rate: rate,
             crash_rate: rate / 10.0,
-            straggler_rate: rate / 10.0,
             corrupt_rate: rate / 10.0,
             ..Self::default()
         }
@@ -116,7 +105,6 @@ impl FaultConfig {
             && self.duplicate_rate == 0.0
             && self.reorder_rate == 0.0
             && self.crash_rate == 0.0
-            && self.straggler_rate == 0.0
             && self.corrupt_rate == 0.0
     }
 
@@ -130,7 +118,6 @@ impl FaultConfig {
             ("duplicate_rate", self.duplicate_rate),
             ("reorder_rate", self.reorder_rate),
             ("crash_rate", self.crash_rate),
-            ("straggler_rate", self.straggler_rate),
             ("corrupt_rate", self.corrupt_rate),
         ] {
             assert!((0.0..=1.0).contains(&r), "{name} {r} outside [0, 1]");
@@ -177,7 +164,6 @@ const TAG_DELAY_LEN: u64 = 0xFA03;
 const TAG_DUP: u64 = 0xFA04;
 const TAG_REORDER: u64 = 0xFA05;
 const TAG_CRASH: u64 = 0xFA06;
-const TAG_STRAGGLE: u64 = 0xFA07;
 const TAG_CORRUPT: u64 = 0xFA08;
 const TAG_CORRUPT_KIND: u64 = 0xFA09;
 const TAG_JITTER: u64 = 0xFA0A;
@@ -294,19 +280,6 @@ impl FaultPlan {
     /// Is delivery order reversed for messages arriving in `round`?
     pub fn reorders(&self, round: usize) -> bool {
         self.bernoulli(self.config.reorder_rate, &[TAG_REORDER, round as u64])
-    }
-
-    /// Extra spin latency (µs) thread `thread` incurs in `round` (0 when
-    /// not straggling).
-    pub fn straggler_us(&self, thread: usize, round: usize) -> u64 {
-        if self.bernoulli(
-            self.config.straggler_rate,
-            &[TAG_STRAGGLE, thread as u64, round as u64],
-        ) {
-            self.config.straggler_extra_us
-        } else {
-            0
-        }
     }
 
     /// If the observation of `agent` in `round` is corrupted, the garbage
@@ -444,7 +417,6 @@ mod tests {
                     MessageFate::Deliver
                 );
                 assert!(!p.is_crashed(a, r));
-                assert_eq!(p.straggler_us(a, r), 0);
                 assert!(p.corrupt(r, a).is_none());
             }
             assert!(!p.reorders(r));
@@ -458,7 +430,6 @@ mod tests {
         for r in 0..100 {
             assert_eq!(a.message_fate(r, 1, 2, 5, 0), b.message_fate(r, 1, 2, 5, 0));
             assert_eq!(a.is_crashed(3, r), b.is_crashed(3, r));
-            assert_eq!(a.straggler_us(0, r), b.straggler_us(0, r));
         }
     }
 

@@ -23,13 +23,11 @@
 //! Distributed's `Θ(ln n / ln ln n)` congestion bound, both simulated and
 //! in closed form.
 //!
-//! [`faults`] provides the deterministic adversary for both substrates: a
+//! [`faults`] provides the deterministic adversary for the network: a
 //! seeded [`faults::FaultPlan`] that the [`network::Network`] delivery path
-//! and the [`executor::ThreadPool`] consult to drop, delay, duplicate, and
-//! reorder messages, crash/restart agents, and inject stragglers — with
-//! per-round counts folded into [`stats::RoundStats`] and straggler hits
-//! counted in [`executor::WorkResult`], so every injected fault is
-//! observable.
+//! consults to drop, delay, duplicate, and reorder messages and
+//! crash/restart agents — with per-round counts folded into
+//! [`stats::RoundStats`], so every injected fault is observable.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

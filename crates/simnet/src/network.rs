@@ -125,11 +125,6 @@ impl Network {
         self.agents.len()
     }
 
-    /// Whether an agent requested a halt.
-    pub fn is_halted(&self) -> bool {
-        self.halted
-    }
-
     /// Run one round; returns its statistics.
     ///
     /// With a fault plan installed (see [`Network::set_faults`]) the
@@ -442,6 +437,14 @@ mod tests {
     use crate::agent::Context;
     use bytes::Bytes;
 
+    /// Send `payload` to every other agent.
+    fn send_to_peers(ctx: &mut Context<'_>, payload: &'static [u8]) {
+        let me = ctx.id();
+        for to in (0..ctx.n_agents()).filter(|&to| to != me) {
+            ctx.send(to, Bytes::from_static(payload));
+        }
+    }
+
     #[test]
     fn messages_delivered_next_round() {
         let mut net = Network::new(2, 0);
@@ -489,7 +492,7 @@ mod tests {
         });
         let stats = net.run(100);
         assert_eq!(stats.rounds, 3);
-        assert!(net.is_halted());
+        assert!(net.halted);
     }
 
     #[test]
@@ -546,7 +549,7 @@ mod tests {
         net.set_faults(FaultPlan::new(9, crate::faults::FaultConfig::drops(0.5)));
         for _ in 0..4 {
             net.add_agent(|ctx: &mut Context<'_>| {
-                ctx.broadcast(Bytes::from_static(b"g"));
+                send_to_peers(ctx, b"g");
             });
         }
         let stats = net.run(50);
@@ -658,7 +661,7 @@ mod tests {
         net.set_faults(FaultPlan::new(8, cfg));
         for _ in 0..4 {
             net.add_agent(|ctx: &mut Context<'_>| {
-                ctx.broadcast(Bytes::from_static(b"hb"));
+                send_to_peers(ctx, b"hb");
             });
         }
         let stats = net.run(60);

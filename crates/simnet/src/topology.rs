@@ -112,31 +112,18 @@ impl Topology {
         }
         in_deg.into_iter().max().unwrap_or(0)
     }
-
-    /// Analytic congestion: the Table I communication entry.
-    pub fn analytic_congestion(&self, n: usize) -> f64 {
-        match self {
-            Topology::Star => (n.saturating_sub(1)) as f64,
-            Topology::Complete => (n.saturating_sub(1)) as f64,
-            Topology::RandomNeighbor => crate::congestion::expected_max_load(n),
-            Topology::Ring => 1.0_f64.min(n.saturating_sub(1) as f64),
-            // d·n balls into n bins: leading term d + O(√(d ln n)); we use
-            // the simple additive bound d + ln n / ln ln n.
-            Topology::KRegularRandom(d) => *d as f64 + crate::congestion::expected_max_load(n),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::congestion::expected_max_load;
     use rand::SeedableRng;
 
     #[test]
     fn star_congestion_is_linear() {
         let mut rng = SmallRng::seed_from_u64(0);
         assert_eq!(Topology::Star.congestion(16, &mut rng), 15);
-        assert_eq!(Topology::Star.analytic_congestion(16), 15.0);
     }
 
     #[test]
@@ -153,10 +140,7 @@ mod tests {
         let n = 4096;
         let c = Topology::RandomNeighbor.congestion(n, &mut rng);
         assert!(c >= 1);
-        assert!(
-            (c as f64) < 6.0 * Topology::RandomNeighbor.analytic_congestion(n),
-            "congestion {c}"
-        );
+        assert!((c as f64) < 6.0 * expected_max_load(n), "congestion {c}");
     }
 
     #[test]
@@ -183,7 +167,6 @@ mod tests {
         let e = Topology::Ring.edges(10, &mut rng);
         assert_eq!(e.len(), 10);
         assert_eq!(Topology::Ring.congestion(10, &mut rng), 1);
-        assert_eq!(Topology::Ring.analytic_congestion(10), 1.0);
         // Every node has out-degree exactly 1 and in-degree exactly 1.
         let mut out_deg = [0; 10];
         for (f, _) in e {
@@ -212,7 +195,9 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let n = 2048;
         let c = Topology::KRegularRandom(3).congestion(n, &mut rng);
-        let analytic = Topology::KRegularRandom(3).analytic_congestion(n);
+        // d·n balls into n bins: leading term d + O(√(d ln n)); the simple
+        // additive bound d + ln n / ln ln n.
+        let analytic = 3.0 + expected_max_load(n);
         assert!(
             (c as f64) < 4.0 * analytic,
             "congestion {c} vs analytic {analytic}"

@@ -1,36 +1,22 @@
-//! Fault-injection and crash-safety integration tests.
+//! Fault-injection integration tests.
 //!
-//! Covers the robustness contract end to end:
+//! Covers the robustness contract of the simulated network and the MWU
+//! variants (kill/resume and storage faults are the daemon's, in
+//! `service.rs` and `service_faults.rs`):
 //!
 //! * same seed + same `FaultPlan` ⇒ byte-identical JSONL telemetry traces;
-//! * a killed-and-resumed MWRepair run reports exactly the outcome of the
-//!   uninterrupted same-seed run (checkpoint through a real file);
-//! * checkpoint writes through a hostile `FaultVfs` (torn, EIO, lying
-//!   fsync) either finish with the uninterrupted outcome or stop with an
-//!   I/O error — never a panic, never a partial file in place of a good
-//!   checkpoint — and a swept resume on the real disk reproduces the run;
 //! * Distributed MWU still converges on a unimodal instance with ≤ 10 %
 //!   message drops flowing through the degradation-aware gossip update;
 //! * property tests: weights stay on the finite simplex under arbitrary
 //!   drop / duplicate / corruption sequences.
 
-use apr_sim::ledger::CostSnapshot;
-use apr_sim::{BugScenario, MutationPool, ScenarioKind};
 use bytes::Bytes;
-use mwrepair::vfs::tmp_path;
-use mwrepair::{
-    effective_arms, repair, repair_resumable, Checkpoint, CheckpointError, CheckpointPolicy,
-    MwRepairConfig, RepairOutcome, SessionControl, SessionResult,
-};
-use mwrepair_service::{FaultVfs, RealVfs, StorageFaultConfig, StorageFaultPlan, Vfs};
 use mwu_core::prelude::*;
 use mwu_core::trace::FaultEvent;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use simnet::{Context, FaultConfig, FaultPlan, MessageFate, Network, RetryPolicy};
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// A gossiping agent workload under a mixed fault plan; returns the JSONL
 /// bytes of the run's per-round fault telemetry.
@@ -81,367 +67,6 @@ fn same_seed_same_plan_gives_byte_identical_jsonl_traces() {
         text.as_bytes(),
         c.as_slice(),
         "different seed, different trace"
-    );
-}
-
-#[test]
-fn killed_and_resumed_repair_matches_uninterrupted_run() {
-    // Repair-free scenario: the run spans the whole horizon, so the kill
-    // point sits strictly inside the learning trajectory.
-    let scenario = BugScenario::custom(
-        "chaos-resume",
-        ScenarioKind::Synthetic,
-        60,
-        12,
-        300,
-        15,
-        0.0,
-        41,
-    );
-    let pool = scenario.build_pool(1, None);
-    let config = MwRepairConfig {
-        max_iterations: 80,
-        seed: 23,
-        reward: mwrepair::RewardMode::DensityProxy,
-        max_composition: 512,
-    };
-    let arms = effective_arms(pool.len(), &config);
-
-    let mut alg = StandardMwu::new(arms, StandardConfig::default());
-    let uninterrupted = repair(&scenario, &pool, &mut alg, &config);
-
-    // Checkpoint into a *nested* directory so the durable write path
-    // (tmp + fsync + rename + parent-directory fsync) runs against the
-    // deepest parent, not the temp root.
-    let dir = std::env::temp_dir().join(format!("faults-it-{}", std::process::id()));
-    let ckpt_dir = dir.join("ckpts").join("run-a");
-    std::fs::create_dir_all(&ckpt_dir).unwrap();
-    let ckpt_path = ckpt_dir.join("repair.ckpt");
-
-    // Session 1: checkpoint every 64 probes, "killed" after 30 cycles.
-    let mut alg1 = StandardMwu::new(arms, StandardConfig::default());
-    let halted = repair_resumable(
-        &scenario,
-        &pool,
-        &mut alg1,
-        &config,
-        None,
-        &mut NullObserver,
-        &SessionControl {
-            checkpoint: Some(CheckpointPolicy::new(Arc::new(RealVfs), &ckpt_path, 64)),
-            halt_after_iterations: Some(30),
-        },
-        None,
-    )
-    .unwrap();
-    assert!(matches!(halted, SessionResult::Halted { .. }));
-
-    // The "kill" leaves a durable, complete checkpoint and nothing else:
-    // in particular no `.tmp` staging file that a crash mid-write could
-    // have stranded.
-    let leftovers: Vec<_> = std::fs::read_dir(&ckpt_dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .collect();
-    assert_eq!(leftovers, vec!["repair.ckpt"], "only the checkpoint itself");
-
-    // Session 2: resume purely from the file, run to completion.
-    let ck = Checkpoint::load(&RealVfs, &ckpt_path).unwrap();
-    assert_eq!(ck.iteration, 30);
-    let mut alg2 = StandardMwu::new(arms, StandardConfig::default());
-    let resumed = repair_resumable(
-        &scenario,
-        &pool,
-        &mut alg2,
-        &config,
-        None,
-        &mut NullObserver,
-        &SessionControl::default(),
-        Some(&ck),
-    )
-    .unwrap()
-    .outcome()
-    .expect("resumed session runs to completion");
-
-    assert_eq!(resumed, uninterrupted);
-    // Byte-identity of the reported outcome, not just structural equality.
-    assert_eq!(
-        serde_json::to_string(&resumed).unwrap(),
-        serde_json::to_string(&uninterrupted).unwrap()
-    );
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint files through the Vfs: the real disk, then a hostile one.
-// ---------------------------------------------------------------------------
-
-fn ckpt_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("faults-ckpt-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn sample_checkpoint() -> Checkpoint {
-    let mut rng = SmallRng::seed_from_u64(7);
-    let mut alg = StandardMwu::new(8, StandardConfig::default());
-    for _ in 0..5 {
-        use rand::Rng;
-        let n = alg.plan(&mut rng).len();
-        let rewards: Vec<f64> = (0..n).map(|_| rng.gen::<f64>()).collect();
-        alg.update(&rewards, &mut rng);
-    }
-    Checkpoint::capture(
-        &alg,
-        &MwRepairConfig::seeded(7),
-        5,
-        40,
-        &rng,
-        CostSnapshot {
-            fitness_evals: 40,
-            simulated_ms: 4000,
-            critical_path_ms: 500,
-        },
-        false,
-    )
-}
-
-#[test]
-fn save_atomic_writes_complete_file_and_cleans_tmp() {
-    let dir = ckpt_dir("save");
-    let path = dir.join("run.ckpt");
-    let ck = sample_checkpoint();
-    ck.save_atomic(&RealVfs, &path).unwrap();
-    assert!(!tmp_path(&path).exists(), "tmp file must be renamed away");
-    assert_eq!(Checkpoint::load(&RealVfs, &path).unwrap(), ck);
-    // Overwrite with a later checkpoint; reader sees the new state.
-    let mut ck2 = ck.clone();
-    ck2.iteration = 6;
-    ck2.save_atomic(&RealVfs, &path).unwrap();
-    assert_eq!(Checkpoint::load(&RealVfs, &path).unwrap().iteration, 6);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn save_atomic_syncs_parent_of_nested_paths() {
-    // Nested directory: the directory fsync targets the deepest parent,
-    // not the temp root.
-    let dir = ckpt_dir("nested");
-    let nested = dir.join("a").join("b");
-    std::fs::create_dir_all(&nested).unwrap();
-    let ck = sample_checkpoint();
-    let path = nested.join("run.ckpt");
-    ck.save_atomic(&RealVfs, &path).unwrap();
-    assert!(!tmp_path(&path).exists());
-    assert_eq!(Checkpoint::load(&RealVfs, &path).unwrap(), ck);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn poisoned_tmp_never_shadows_or_corrupts_a_resume() {
-    let dir = ckpt_dir("sweep");
-    let path = dir.join("run.ckpt");
-    let ck = sample_checkpoint();
-    ck.save_atomic(&RealVfs, &path).unwrap();
-
-    // A crash mid-save strands a torn tmp beside the good checkpoint.
-    let json = ck.to_json();
-    std::fs::write(tmp_path(&path), &json.as_bytes()[..json.len() / 3]).unwrap();
-
-    assert!(
-        Checkpoint::sweep_orphan_tmp(&RealVfs, &path).unwrap(),
-        "orphan missed"
-    );
-    assert!(!tmp_path(&path).exists());
-    assert_eq!(
-        Checkpoint::load(&RealVfs, &path).unwrap(),
-        ck,
-        "resume corrupted"
-    );
-
-    // Sweeping again is a no-op, and a fresh save still round-trips.
-    assert!(!Checkpoint::sweep_orphan_tmp(&RealVfs, &path).unwrap());
-    let mut ck2 = ck.clone();
-    ck2.iteration += 1;
-    ck2.save_atomic(&RealVfs, &path).unwrap();
-    assert_eq!(Checkpoint::load(&RealVfs, &path).unwrap(), ck2);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// A repair-free scenario (the run spans its whole horizon) and its
-/// uninterrupted outcome.
-fn resume_fixture(
-    name: &str,
-    world_seed: u64,
-    config: &MwRepairConfig,
-) -> (BugScenario, MutationPool, usize, RepairOutcome) {
-    let scenario = BugScenario::custom(
-        name,
-        ScenarioKind::Synthetic,
-        60,
-        12,
-        300,
-        15,
-        0.0,
-        world_seed,
-    );
-    let pool = scenario.build_pool(1, None);
-    let arms = effective_arms(pool.len(), config);
-    let mut alg = SlateMwu::new(arms, SlateConfig::default());
-    let uninterrupted = repair(&scenario, &pool, &mut alg, config);
-    (scenario, pool, arms, uninterrupted)
-}
-
-#[test]
-fn resume_via_checkpoint_file_round_trip() {
-    let cfg = MwRepairConfig {
-        max_iterations: 30,
-        seed: 3,
-        reward: mwrepair::RewardMode::DensityProxy,
-        max_composition: 512,
-    };
-    let (s, pool, arms, uninterrupted) = resume_fixture("resume-io", 33, &cfg);
-    let dir = ckpt_dir("resume-io");
-    let path = dir.join("grid.ckpt");
-
-    // Checkpoint to disk every 8 probes; halt after 2 iterations.
-    let mut alg1 = SlateMwu::new(arms, SlateConfig::default());
-    let session = SessionControl {
-        checkpoint: Some(CheckpointPolicy::new(Arc::new(RealVfs), &path, 8)),
-        halt_after_iterations: Some(2),
-    };
-    let halted = repair_resumable(
-        &s,
-        &pool,
-        &mut alg1,
-        &cfg,
-        None,
-        &mut NullObserver,
-        &session,
-        None,
-    )
-    .unwrap();
-    assert!(matches!(halted, SessionResult::Halted { .. }));
-
-    // Resume purely from the file, as the binaries do.
-    let ck = Checkpoint::load(&RealVfs, &path).unwrap();
-    let mut alg2 = SlateMwu::new(arms, SlateConfig::default());
-    let resumed = repair_resumable(
-        &s,
-        &pool,
-        &mut alg2,
-        &cfg,
-        None,
-        &mut NullObserver,
-        &SessionControl::default(),
-        Some(&ck),
-    )
-    .unwrap()
-    .outcome()
-    .unwrap();
-
-    assert_eq!(resumed, uninterrupted);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// Run `repair_resumable` to completion from `resume`, checkpointing
-/// every update cycle to `path` through `vfs`.
-fn run_checkpointed(
-    fixture: &(BugScenario, MutationPool, usize, RepairOutcome),
-    cfg: &MwRepairConfig,
-    vfs: Arc<dyn Vfs>,
-    path: &Path,
-    resume: Option<&Checkpoint>,
-) -> Result<SessionResult, CheckpointError> {
-    let (scenario, pool, arms, _) = fixture;
-    let mut alg = SlateMwu::new(*arms, SlateConfig::default());
-    repair_resumable(
-        scenario,
-        pool,
-        &mut alg,
-        cfg,
-        None,
-        &mut NullObserver,
-        &SessionControl {
-            checkpoint: Some(CheckpointPolicy::new(vfs, path, 0)),
-            halt_after_iterations: None,
-        },
-        resume,
-    )
-}
-
-/// The checkpoint path under a hostile disk. Every run checkpoints after
-/// each update cycle through a `FaultVfs` drawing torn tmp writes, EIO,
-/// or a lying fsync that then kills the device. Each run must either
-/// finish with the uninterrupted outcome or stop with
-/// `CheckpointError::Io` — never panic, and never leave anything but a
-/// complete checkpoint at the checkpoint path. Sweeping the orphaned tmp
-/// and resuming on the real disk then reproduces the uninterrupted run.
-#[test]
-fn checkpoint_writes_survive_a_hostile_disk() {
-    let cfg = MwRepairConfig {
-        max_iterations: 40,
-        seed: 29,
-        reward: mwrepair::RewardMode::DensityProxy,
-        max_composition: 512,
-    };
-    let fixture = resume_fixture("hostile-ckpt", 43, &cfg);
-    let uninterrupted = &fixture.3;
-    let (mut completed, mut failed, mut injected) = (0, 0, 0);
-    for (class, faults) in [
-        ("torn", StorageFaultConfig::torn(0.03)),
-        ("eio", StorageFaultConfig::eio(0.03)),
-        ("lies", StorageFaultConfig::lies(0.03)),
-    ] {
-        for seed in 0..4u64 {
-            let dir = ckpt_dir(&format!("hostile-{class}-{seed}"));
-            let path = dir.join("run.ckpt");
-            let vfs = Arc::new(FaultVfs::rooted(StorageFaultPlan::new(seed, faults), &dir));
-            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_checkpointed(
-                    &fixture,
-                    &cfg,
-                    Arc::clone(&vfs) as Arc<dyn Vfs>,
-                    &path,
-                    None,
-                )
-            }))
-            .unwrap_or_else(|_| panic!("{class} seed {seed}: a hostile disk panicked the run"));
-            match run {
-                Ok(SessionResult::Complete(outcome)) => {
-                    assert_eq!(&outcome, uninterrupted, "{class} seed {seed}");
-                    completed += 1;
-                }
-                Ok(SessionResult::Halted { .. }) => panic!("{class} seed {seed}: no halt asked"),
-                Err(CheckpointError::Io(_)) => failed += 1,
-                Err(e) => panic!("{class} seed {seed}: unexpected error {e}"),
-            }
-            injected += vfs.injected_faults();
-
-            // Whatever sits at the checkpoint path is a whole checkpoint.
-            let kept = path
-                .exists()
-                .then(|| Checkpoint::load(&RealVfs, &path))
-                .transpose()
-                .unwrap_or_else(|e| panic!("{class} seed {seed}: partial checkpoint: {e}"));
-            // A torn tmp write is the only fault that strands an orphan.
-            let swept = Checkpoint::sweep_orphan_tmp(&RealVfs, &path).unwrap();
-            assert!(!swept || class == "torn", "{class} seed {seed}: stray tmp");
-            assert!(!tmp_path(&path).exists());
-
-            let resumed = run_checkpointed(&fixture, &cfg, Arc::new(RealVfs), &path, kept.as_ref())
-                .unwrap()
-                .outcome()
-                .expect("resumed run completes");
-            assert_eq!(&resumed, uninterrupted, "{class} seed {seed}: resume");
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
-    }
-    assert!(injected > 0, "the adversary never fired");
-    assert!(
-        completed > 0 && failed > 0,
-        "{completed} completed, {failed} failed"
     );
 }
 
