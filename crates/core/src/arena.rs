@@ -28,7 +28,7 @@
 //!   the borrow, do the work, then return it with a second `with`.
 //! * Cached algorithm instances are matched on `(k, config)`; a miss
 //!   constructs fresh. The per-variant cache is bounded
-//!   ([`MAX_CACHED_PER_VARIANT`]) so arenas cannot hoard memory when a
+//!   (`MAX_CACHED_PER_VARIANT`) so arenas cannot hoard memory when a
 //!   sweep cycles through many instance sizes.
 
 use crate::distributed::{DistributedConfig, DistributedMwu, Intractable};

@@ -168,10 +168,11 @@ pub struct RepairEvent {
     pub composition_size: usize,
 }
 
-/// Faults injected during one simulated-network round (the telemetry-side
-/// mirror of `simnet::FaultRoundStats` — field-for-field, but defined here
-/// because simnet sits *below* mwu-core in the dependency graph; the bridge
-/// lives in the layer that composes both, e.g. the `chaos` binary).
+/// Faults injected during one simulated-network round, by class.
+///
+/// No run emits this event (only tests build one): `chaos` applies its
+/// `simnet::FaultPlan` to observations itself and reports convergence per
+/// cell, and the `simnet` network delivers every message.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultEvent {
     /// Round the faults were injected in (0-based).

@@ -25,7 +25,6 @@
 
 pub mod cli;
 pub mod grid;
-pub mod social;
 pub mod tables;
 
 pub use cli::{install_profile_hooks, Args, Flag};

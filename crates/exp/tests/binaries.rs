@@ -115,6 +115,7 @@ const FAST: &[(&str, &[&str])] = &[
     ("fig4b", &["fig4b.csv"]),
     ("cost_model", &["cost_model.csv", "cost_model_sweep.csv"]),
     ("congestion", &["congestion.csv"]),
+    ("chaos", &["chaos.csv"]),
     ("sync_stall", &["sync_stall.csv"]),
     ("amortization", &["amortization.csv"]),
     ("regret_curves", &["regret_curves.csv"]),

@@ -33,10 +33,9 @@
 
 use crate::protocol::{parse_jobs, BudgetSpec, JobLine, JobSpec, ProtocolError};
 use crate::session::{commit_epoch, ScenarioData, SessionError, SessionRunner, SessionStatus};
-use crate::vfs::{with_retries, RealVfs, StorageFailure, StorageOp, Vfs};
+use crate::vfs::{with_retries, RealVfs, RetryPolicy, StorageFailure, StorageOp, Vfs};
 use rayon::prelude::*;
 use serde::Serialize;
-use simnet::faults::RetryPolicy;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;

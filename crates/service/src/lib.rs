@@ -39,11 +39,12 @@
 //! analogue of `simnet::faults`) injecting EIO, ENOSPC, torn writes,
 //! fsync lies, and slowdowns from a pure keyed hash of
 //! `(seed, path, op, attempt)`. Transient failures retry with bounded
-//! exponential backoff; persistent failures and session panics
-//! **quarantine** the one affected session behind a durable
-//! `quarantine.json` post-mortem while every other session's bytes stay
-//! identical to a fault-free run — certified by the `torture` binary and
-//! `tests/tests/service_faults.rs`, documented in `docs/FAULTS.md`.
+//! exponential backoff ([`vfs::RetryPolicy`]); persistent failures and
+//! session panics **quarantine** the one affected session behind a
+//! durable `quarantine.json` post-mortem while every other session's
+//! bytes stay identical to a fault-free run — certified by the `torture`
+//! binary and `tests/tests/service_faults.rs`, documented in
+//! `docs/FAULTS.md`.
 
 #![warn(missing_docs)]
 // Denied (not forbidden) so the one scoped exemption in `vfs` — the raw
@@ -63,6 +64,6 @@ pub use protocol::{
 };
 pub use session::{commit_epoch, QuarantineRecord, SessionReport, SessionRunner, SessionStatus};
 pub use vfs::{
-    FaultVfs, RealVfs, StorageFailure, StorageFault, StorageFaultConfig, StorageFaultPlan,
-    StorageOp, Vfs,
+    FaultVfs, RealVfs, RetryPolicy, StorageFailure, StorageFault, StorageFaultConfig,
+    StorageFaultPlan, StorageOp, Vfs,
 };

@@ -43,7 +43,7 @@
 //! clears the post-mortem automatically (re-arm).
 
 use crate::protocol::JobSpec;
-use crate::vfs::{tmp_path, with_retries, RealVfs, StorageOp, Vfs};
+use crate::vfs::{tmp_path, with_retries, RealVfs, RetryPolicy, StorageOp, Vfs};
 use apr_sim::ledger::CostSnapshot;
 use apr_sim::{BugScenario, CostLedger, MutationPool};
 use mwrepair::{
@@ -56,7 +56,6 @@ use mwu_core::{
     StandardMwu,
 };
 use serde::{Deserialize, Serialize};
-use simnet::faults::RetryPolicy;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;

@@ -26,7 +26,7 @@
 //!   `syncfs(2)` barrier; tmp + fsync + rename + parent-dir fsync for
 //!   one-shot atomic replaces).
 //! * [`FaultVfs`] — a hostile disk driven by a [`StorageFaultPlan`], the
-//!   storage analogue of `simnet::faults::FaultPlan`: every decision is a
+//!   storage analogue of `simnet::FaultPlan`: every decision is a
 //!   **pure keyed hash** of `(seed, path, op, attempt)`, where `attempt`
 //!   is the per-`(path, op)` call ordinal. Because each session's
 //!   operation sequence on its own files is deterministic, the injected
@@ -53,14 +53,13 @@
 //! * **Slowdown** — the operation succeeds after an injected stall
 //!   (exercises retry/backoff timing without changing any bytes).
 //!
-//! [`with_retries`] is the shared bounded-exponential-backoff retry loop
-//! (reusing `simnet::faults::RetryPolicy`); callers that exhaust it get a
+//! [`with_retries`] is the shared bounded-exponential-backoff retry loop,
+//! scheduled by a [`RetryPolicy`]; callers that exhaust it get a
 //! [`StorageFailure`] carrying the full per-attempt error chain for the
 //! quarantine post-mortem.
 
 use mwu_core::rng::splitmix64;
 use serde::{Deserialize, Serialize};
-use simnet::faults::RetryPolicy;
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, Write};
@@ -1043,10 +1042,39 @@ impl fmt::Display for StorageFailure {
 
 impl std::error::Error for StorageFailure {}
 
-/// Run `f` under `policy`: bounded exponential backoff between attempts
-/// (`base_delay · 2^(a-1)` milliseconds, capped at 50 ms so hostile-disk
-/// tests stay fast), `retries` incremented once per retry performed.
-/// Exhaustion returns the full error chain as a [`StorageFailure`].
+/// How [`with_retries`] retries a transient storage failure: at most
+/// `max_attempts` retries after the first try, with exponential backoff.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RetryPolicy {
+    /// Retries allowed after the first attempt (0 disables retry).
+    pub max_attempts: u32,
+    /// Backoff base, in milliseconds.
+    pub base_delay: u32,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        Self {
+            max_attempts: 3,
+            base_delay: 1,
+        }
+    }
+}
+
+impl RetryPolicy {
+    /// Milliseconds to sleep before retry `attempt` (1-based):
+    /// `base_delay · 2^(attempt−1)`, capped at 50 ms so hostile-disk tests
+    /// stay fast.
+    pub fn backoff_ms(&self, attempt: u32) -> u64 {
+        let base = u64::from(self.base_delay.max(1));
+        (base << attempt.saturating_sub(1).min(16)).min(50)
+    }
+}
+
+/// Run `f` under `policy`: one attempt, then up to `max_attempts` retries
+/// after [`RetryPolicy::backoff_ms`] each, `retries` incremented once per
+/// retry performed. Exhaustion returns the full error chain as a
+/// [`StorageFailure`].
 pub fn with_retries<T>(
     policy: &RetryPolicy,
     op: StorageOp,
@@ -1059,7 +1087,7 @@ pub fn with_retries<T>(
     for attempt in 0..attempts {
         if attempt > 0 {
             *retries += 1;
-            let ms = policy.backoff_rounds(attempt, 0.0).min(50) as u64;
+            let ms = policy.backoff_ms(attempt);
             std::thread::sleep(std::time::Duration::from_millis(ms));
         }
         match f() {
@@ -1261,6 +1289,39 @@ mod tests {
         assert_eq!(failure.errors.len(), 3);
         assert!(failure.errors[2].contains("boom 3"));
         assert!(failure.to_string().contains("append"));
+    }
+
+    #[test]
+    fn retry_backoff_doubles_up_to_the_cap() {
+        let schedule = |base_delay| {
+            let policy = RetryPolicy {
+                base_delay,
+                ..RetryPolicy::default()
+            };
+            (1..=9).map(|a| policy.backoff_ms(a)).collect::<Vec<_>>()
+        };
+        assert_eq!(schedule(1), [1, 2, 4, 8, 16, 32, 50, 50, 50]);
+        assert_eq!(schedule(0), schedule(1), "a zero base backs off as 1");
+        assert_eq!(schedule(3), [3, 6, 12, 24, 48, 50, 50, 50, 50]);
+        assert_eq!(RetryPolicy::default().backoff_ms(u32::MAX), 50);
+
+        let no_retry = RetryPolicy {
+            max_attempts: 0,
+            ..RetryPolicy::default()
+        };
+        let (mut retries, mut calls) = (0, 0);
+        let failure = with_retries(
+            &no_retry,
+            StorageOp::Read,
+            Path::new("x"),
+            &mut retries,
+            || -> io::Result<()> {
+                calls += 1;
+                Err(io::Error::other("boom"))
+            },
+        )
+        .unwrap_err();
+        assert_eq!((calls, retries, failure.attempts), (1, 0, 1));
     }
 
     #[test]

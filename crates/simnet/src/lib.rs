@@ -23,11 +23,11 @@
 //! Distributed's `Θ(ln n / ln ln n)` congestion bound, both simulated and
 //! in closed form.
 //!
-//! [`faults`] provides the deterministic adversary for the network: a
-//! seeded [`faults::FaultPlan`] that the [`network::Network`] delivery path
-//! consults to drop, delay, duplicate, and reorder messages and
-//! crash/restart agents — with per-round counts folded into
-//! [`stats::RoundStats`], so every injected fault is observable.
+//! [`faults`] provides the deterministic adversary of the `chaos`
+//! experiment: a seeded [`faults::FaultPlan`] that decides, per
+//! observation, whether it is dropped, delayed, duplicated or corrupted.
+//! `chaos` applies those fates itself; the [`network::Network`] models the
+//! paper's lossless synchronous network and delivers every message.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -44,7 +44,7 @@ pub mod topology;
 pub use agent::{Agent, AgentId, Context, Message};
 pub use congestion::{balls_into_bins_max, expected_max_load};
 pub use executor::{SyncMode, ThreadPool, WorkResult};
-pub use faults::{FaultConfig, FaultPlan, FaultRoundStats, MessageFate, RetryPolicy};
+pub use faults::{FaultConfig, FaultPlan, MessageFate};
 pub use network::Network;
 pub use profhook::{set_hook as set_profile_hook, SimEvent};
 pub use stats::{NetStats, RoundStats};

@@ -1,6 +1,5 @@
 //! Per-round and cumulative network statistics.
 
-use crate::faults::FaultRoundStats;
 use serde::{Deserialize, Serialize};
 
 /// Communication statistics for one round of a [`crate::Network`].
@@ -17,8 +16,6 @@ pub struct RoundStats {
     pub max_in_degree: usize,
     /// Maximum out-degree: the most messages any single agent sent.
     pub max_out_degree: usize,
-    /// Faults injected this round (all-zero when no plan is installed).
-    pub faults: FaultRoundStats,
 }
 
 /// Cumulative statistics over a whole [`crate::Network`] execution.
@@ -34,8 +31,6 @@ pub struct NetStats {
     pub peak_congestion: usize,
     /// Sum of per-round max in-degrees (divide by `rounds` for the mean).
     pub total_congestion: u64,
-    /// Cumulative injected-fault counts over all rounds.
-    pub faults: FaultRoundStats,
 }
 
 impl NetStats {
@@ -48,7 +43,6 @@ impl NetStats {
         if r.max_in_degree > self.peak_congestion {
             self.peak_congestion = r.max_in_degree;
         }
-        self.faults.absorb(&r.faults);
     }
 
     /// Mean per-round congestion.
@@ -74,10 +68,6 @@ mod tests {
             bytes: 100,
             max_in_degree: 3,
             max_out_degree: 2,
-            faults: FaultRoundStats {
-                dropped: 2,
-                ..FaultRoundStats::default()
-            },
         });
         s.absorb(&RoundStats {
             round: 1,
@@ -85,19 +75,12 @@ mod tests {
             bytes: 50,
             max_in_degree: 7,
             max_out_degree: 1,
-            faults: FaultRoundStats {
-                dropped: 1,
-                delayed: 4,
-                ..FaultRoundStats::default()
-            },
         });
         assert_eq!(s.rounds, 2);
         assert_eq!(s.messages, 15);
         assert_eq!(s.bytes, 150);
         assert_eq!(s.peak_congestion, 7);
         assert!((s.mean_congestion() - 5.0).abs() < 1e-12);
-        assert_eq!(s.faults.dropped, 3);
-        assert_eq!(s.faults.delayed, 4);
     }
 
     #[test]

@@ -10,6 +10,7 @@ $BIN/fig4a              > results/fig4a_output.txt            2>/dev/null
 $BIN/fig4b              > results/fig4b_output.txt            2>/dev/null
 $BIN/cost_model         > results/cost_model_output.txt       2>/dev/null
 $BIN/congestion         > results/congestion_output.txt       2>/dev/null
+$BIN/chaos              > results/chaos_output.txt            2>/dev/null
 $BIN/sync_stall         > results/sync_stall_output.txt       2>/dev/null
 $BIN/repair_comparison --replicates 10 > results/repair_comparison_output.txt 2>/dev/null
 $BIN/amortization       > results/amortization_output.txt     2>/dev/null

@@ -1,74 +1,21 @@
 //! Fault-injection integration tests.
 //!
-//! Covers the robustness contract of the simulated network and the MWU
-//! variants (kill/resume and storage faults are the daemon's, in
-//! `service.rs` and `service_faults.rs`):
+//! Covers the robustness contract of the MWU variants under the `chaos`
+//! adversary (kill/resume and storage faults are the daemon's, in
+//! `service.rs` and `service_faults.rs`; draw determinism is pinned by
+//! `simnet`'s `faults::tests` and by `chaos.csv` in
+//! `crates/exp/tests/binaries.rs`):
 //!
-//! * same seed + same `FaultPlan` ⇒ byte-identical JSONL telemetry traces;
 //! * Distributed MWU still converges on a unimodal instance with ≤ 10 %
 //!   message drops flowing through the degradation-aware gossip update;
 //! * property tests: weights stay on the finite simplex under arbitrary
 //!   drop / duplicate / corruption sequences.
 
-use bytes::Bytes;
 use mwu_core::prelude::*;
-use mwu_core::trace::FaultEvent;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use simnet::{Context, FaultConfig, FaultPlan, MessageFate, Network, RetryPolicy};
-
-/// A gossiping agent workload under a mixed fault plan; returns the JSONL
-/// bytes of the run's per-round fault telemetry.
-fn faulty_net_trace(seed: u64, rounds: usize) -> Vec<u8> {
-    let mut net = Network::new(6, seed);
-    net.set_faults(FaultPlan::new(seed ^ 0xFA, FaultConfig::mixed(0.15)));
-    net.set_retry(RetryPolicy::default());
-    for _ in 0..6 {
-        net.add_agent(|ctx: &mut Context<'_>| {
-            use rand::Rng;
-            let n = ctx.n_agents();
-            let to = ctx.rng().gen_range(0..n);
-            if to != ctx.id() {
-                ctx.send(to, Bytes::from_static(b"gossip"));
-            }
-        });
-    }
-    let mut sink = JsonlSink::new(Vec::new());
-    for _ in 0..rounds {
-        let rs = net.step();
-        sink.on_faults(FaultEvent {
-            round: rs.round,
-            dropped: rs.faults.dropped,
-            delayed: rs.faults.delayed,
-            duplicated: rs.faults.duplicated,
-            reordered: rs.faults.reordered,
-            crashed: rs.faults.crashed,
-            lost_to_crash: rs.faults.lost_to_crash,
-            retried: rs.faults.retried,
-            retry_exhausted: rs.faults.retry_exhausted,
-            stragglers: rs.faults.stragglers,
-        });
-    }
-    sink.into_inner()
-}
-
-#[test]
-fn same_seed_same_plan_gives_byte_identical_jsonl_traces() {
-    let a = faulty_net_trace(77, 50);
-    let b = faulty_net_trace(77, 50);
-    assert!(!a.is_empty());
-    assert_eq!(a, b, "fault telemetry must be bit-deterministic");
-    // And the trace really records injected faults, not all-zero rows.
-    let text = String::from_utf8(a).unwrap();
-    assert!(text.contains("\"Faults\""));
-    let c = faulty_net_trace(78, 50);
-    assert_ne!(
-        text.as_bytes(),
-        c.as_slice(),
-        "different seed, different trace"
-    );
-}
+use simnet::{FaultConfig, FaultPlan, MessageFate};
 
 /// Feed one gossip round through the degraded-observation path: drops
 /// become missing observations, delays become staleness, duplicates arrive

@@ -20,7 +20,8 @@
 use mwrepair::VariantChoice;
 use mwrepair_service::{
     encode_line, BudgetSpec, Daemon, DaemonConfig, DaemonSummary, FaultVfs, JobLine, JobSpec,
-    QuarantineRecord, RealVfs, ScenarioSpec, StorageFaultConfig, StorageFaultPlan, Vfs,
+    QuarantineRecord, RealVfs, RetryPolicy, ScenarioSpec, StorageFaultConfig, StorageFaultPlan,
+    Vfs,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -699,7 +700,7 @@ fn run_rotated_on(
     config.halt_after_rounds = halt_after_rounds;
     // Transient-fault recipe: enough attempts that an eio(0.3) schedule
     // cannot permanently exhaust a session's retries.
-    config.retry = simnet::faults::RetryPolicy {
+    config.retry = RetryPolicy {
         max_attempts: 10,
         base_delay: 1,
     };
